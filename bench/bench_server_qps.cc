@@ -6,12 +6,12 @@
 //
 // Two reports:
 //   BENCH_server_qps.json   backend (in-memory / paged) x client sweep
-//   BENCH_sharded_qps.json  shards x cache sweep (fan-out + result cache)
+//   BENCH_sharded_qps.json  shard-count sweep (fan-out)
 //
 //   WALRUS_BENCH_SERVER_IMAGES=300 WALRUS_BENCH_SERVER_QUERIES=40
 //   are the dataset/load knobs; run ./build/bench/bench_server_qps
-//   [--shards N] [--cache M] restrict the sharded sweep to one
-//   configuration (e.g. for A/B-ing --shards 1 vs --shards 4).
+//   [--shards N] restricts the sharded sweep to one shard count (e.g. for
+//   A/B-ing --shards 1 vs --shards 4).
 
 #include <algorithm>
 #include <cstdio>
@@ -49,9 +49,6 @@ double Quantile(std::vector<double>* values, double q) {
 struct LoadOptions {
   int num_clients = 4;
   int queries_per_client = 20;
-  /// Size of the distinct-query pool the clients cycle through. Smaller
-  /// than the total request count -> repeats -> result-cache hits.
-  int distinct_queries = 0;  // 0 = whole dataset, no repeats
   float epsilon = 0.07f;
   int top_k = 10;
 };
@@ -60,8 +57,6 @@ struct RunResult {
   double qps = 0.0;
   double p50_ms = 0.0;
   double p99_ms = 0.0;
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
 };
 
 RunResult RunLoad(const walrus::QueryEngine& engine,
@@ -72,10 +67,6 @@ RunResult RunLoad(const walrus::QueryEngine& engine,
   walrus::WalrusServer server(engine, server_options);
   if (!server.Start().ok()) std::exit(1);
 
-  int pool = load.distinct_queries > 0
-                 ? std::min<int>(load.distinct_queries,
-                                 static_cast<int>(dataset.size()))
-                 : static_cast<int>(dataset.size());
   std::vector<std::vector<double>> latencies(load.num_clients);
   walrus::WallTimer wall;
   {
@@ -90,7 +81,8 @@ RunResult RunLoad(const walrus::QueryEngine& engine,
         options.top_k = load.top_k;
         for (int q = 0; q < load.queries_per_client; ++q) {
           const walrus::ImageF& image =
-              dataset[(c * load.queries_per_client + q) % pool].image;
+              dataset[(c * load.queries_per_client + q) % dataset.size()]
+                  .image;
           walrus::WallTimer timer;
           auto result = client->Query(image, options);
           if (!result.ok()) {
@@ -105,7 +97,6 @@ RunResult RunLoad(const walrus::QueryEngine& engine,
     for (std::thread& t : clients) t.join();
   }
   double seconds = wall.ElapsedSeconds();
-  walrus::ServerStats stats = server.Snapshot();
   server.Stop();
 
   std::vector<double> all;
@@ -116,8 +107,6 @@ RunResult RunLoad(const walrus::QueryEngine& engine,
   result.qps = static_cast<double>(all.size()) / seconds;
   result.p50_ms = Quantile(&all, 0.50);
   result.p99_ms = Quantile(&all, 0.99);
-  result.cache_hits = stats.result_cache_hits;
-  result.cache_misses = stats.result_cache_misses;
   return result;
 }
 
@@ -131,12 +120,9 @@ int main(int argc, char** argv) {
   // regime (more candidates per probe).
   const float sharded_epsilon = 0.30f;
   int only_shards = 0;
-  int only_cache = -1;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
       only_shards = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--cache") == 0 && i + 1 < argc) {
-      only_cache = std::atoi(argv[++i]);
     }
   }
 
@@ -203,13 +189,12 @@ int main(int argc, char** argv) {
   }
   report.WriteFile();
 
-  // Shards x cache sweep. Same loopback protocol path; the engine behind
-  // the server changes. Clients cycle a small distinct-query pool so the
-  // cached configurations see repeats (and therefore hits).
-  std::printf("\n# sharded engine: shards x cache (epsilon %.2f)\n",
+  // Shard-count sweep. Same loopback protocol path; only the engine behind
+  // the server changes.
+  std::printf("\n# sharded engine: shard count (epsilon %.2f)\n",
               sharded_epsilon);
-  std::printf("%-8s %-8s %-10s %-12s %-10s %-10s %-12s\n", "shards",
-              "cache", "clients", "qps", "p50_ms", "p99_ms", "hit_ratio");
+  std::printf("%-8s %-10s %-12s %-10s %-10s\n", "shards", "clients", "qps",
+              "p50_ms", "p99_ms");
   walrus::bench::BenchReport sharded_report("sharded_qps");
   sharded_report.params()
       .Set("num_images", num_images)
@@ -218,45 +203,28 @@ int main(int argc, char** argv) {
       .Set("epsilon", static_cast<double>(sharded_epsilon));
   std::vector<int> shard_counts = {1, 2, 4};
   if (only_shards > 0) shard_counts = {only_shards};
-  std::vector<int> cache_sizes = {0, 64};
-  if (only_cache >= 0) cache_sizes = {only_cache};
   for (int shards : shard_counts) {
-    for (int cache : cache_sizes) {
-      walrus::ShardedIndex::Options shard_options;
-      shard_options.num_shards = shards;
-      shard_options.cache_capacity = static_cast<size_t>(cache);
-      auto engine =
-          walrus::ShardedIndex::Partition(memory_index, shard_options);
-      if (!engine.ok()) {
-        std::fprintf(stderr, "partition failed: %s\n",
-                     engine.status().ToString().c_str());
-        return 1;
-      }
-      LoadOptions load;
-      load.num_clients = 4;
-      load.queries_per_client = queries_per_client;
-      load.distinct_queries = 8;  // repeats -> cache hits when enabled
-      load.epsilon = sharded_epsilon;
-      RunResult run = RunLoad(*engine, dataset, load);
-      uint64_t lookups = run.cache_hits + run.cache_misses;
-      double hit_ratio =
-          lookups == 0 ? 0.0
-                       : static_cast<double>(run.cache_hits) /
-                             static_cast<double>(lookups);
-      std::printf("%-8d %-8d %-10d %-12.1f %-10.2f %-10.2f %-12.2f\n",
-                  shards, cache, load.num_clients, run.qps, run.p50_ms,
-                  run.p99_ms, hit_ratio);
-      sharded_report.AddRow()
-          .Set("shards", shards)
-          .Set("cache", cache)
-          .Set("clients", load.num_clients)
-          .Set("qps", run.qps)
-          .Set("p50_ms", run.p50_ms)
-          .Set("p99_ms", run.p99_ms)
-          .Set("cache_hits", static_cast<int64_t>(run.cache_hits))
-          .Set("cache_misses", static_cast<int64_t>(run.cache_misses))
-          .Set("hit_ratio", hit_ratio);
+    walrus::ShardedIndex::Options shard_options;
+    shard_options.num_shards = shards;
+    auto engine = walrus::ShardedIndex::Partition(memory_index, shard_options);
+    if (!engine.ok()) {
+      std::fprintf(stderr, "partition failed: %s\n",
+                   engine.status().ToString().c_str());
+      return 1;
     }
+    LoadOptions load;
+    load.num_clients = 4;
+    load.queries_per_client = queries_per_client;
+    load.epsilon = sharded_epsilon;
+    RunResult run = RunLoad(*engine, dataset, load);
+    std::printf("%-8d %-10d %-12.1f %-10.2f %-10.2f\n", shards,
+                load.num_clients, run.qps, run.p50_ms, run.p99_ms);
+    sharded_report.AddRow()
+        .Set("shards", shards)
+        .Set("clients", load.num_clients)
+        .Set("qps", run.qps)
+        .Set("p50_ms", run.p50_ms)
+        .Set("p99_ms", run.p99_ms);
   }
   sharded_report.WriteFile();
 

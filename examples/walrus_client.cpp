@@ -106,20 +106,6 @@ int main(int argc, char** argv) {
       std::printf("  shard %-4zu probed %llu regions\n", s,
                   static_cast<unsigned long long>(stats->shard_probes[s]));
     }
-    if (stats->result_cache_capacity > 0) {
-      uint64_t lookups =
-          stats->result_cache_hits + stats->result_cache_misses;
-      std::printf(
-          "result cache %llu/%llu entries, %llu/%llu hits (%.1f%%)\n",
-          static_cast<unsigned long long>(stats->result_cache_entries),
-          static_cast<unsigned long long>(stats->result_cache_capacity),
-          static_cast<unsigned long long>(stats->result_cache_hits),
-          static_cast<unsigned long long>(lookups),
-          lookups == 0
-              ? 0.0
-              : 100.0 * static_cast<double>(stats->result_cache_hits) /
-                    static_cast<double>(lookups));
-    }
     if (stats->has_ingest) {
       std::printf("ingest       %llu inserts, %llu deletes, %llu merges\n",
                   static_cast<unsigned long long>(stats->ingest.inserts),

@@ -2,7 +2,7 @@
 // the framed TCP protocol to walrus_client and library clients.
 //
 //   walrus_serve <index_prefix> [port] [workers] [max_pending]
-//                [--shards N] [--cache M] [--wal-dir DIR]
+//                [--shards N] [--wal-dir DIR]
 //                [--merge-threshold K] [--reactor-threads N]
 //                [--max-conn-outbound-bytes B] [--drain-timeout-ms T]
 //
@@ -18,8 +18,6 @@
 // --drain-timeout-ms T
 //              at shutdown, force-close connections whose queued responses
 //              a slow peer has not read within T ms (default 5000)
-// --cache M    LRU result cache of M entries in front of the query
-//              pipeline (invalidated on mutation; METRICS shows hit ratio)
 // --wal-dir DIR
 //              serve a durable live engine rooted at DIR: online
 //              INSERT_IMAGE / DELETE_IMAGE are accepted, logged to
@@ -33,7 +31,7 @@
 // Example session (see also examples/walrus_client.cpp):
 //   ./build/examples/walrus_cli generate /tmp/db 100
 //   ./build/examples/walrus_cli index /tmp/db /tmp/db/walrus paged
-//   ./build/examples/walrus_serve /tmp/db/walrus 7788 --shards 4 --cache 256 &
+//   ./build/examples/walrus_serve /tmp/db/walrus 7788 --shards 4 &
 //   ./build/examples/walrus_client 127.0.0.1 7788 query /tmp/db/img_3.ppm
 //   ./build/examples/walrus_client 127.0.0.1 7788 shutdown
 
@@ -69,7 +67,6 @@ int main(int argc, char** argv) {
   // Split --flag value pairs from the positional args so the original
   // positional interface keeps working unchanged.
   int num_shards = 1;
-  size_t cache_capacity = 0;
   std::string wal_dir;
   size_t merge_threshold = 64;
   int reactor_threads = 0;
@@ -79,8 +76,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
       num_shards = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--cache") == 0 && i + 1 < argc) {
-      cache_capacity = static_cast<size_t>(std::atoll(argv[++i]));
     } else if (std::strcmp(argv[i], "--wal-dir") == 0 && i + 1 < argc) {
       wal_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--merge-threshold") == 0 &&
@@ -109,7 +104,7 @@ int main(int argc, char** argv) {
   if (positional.empty() || num_shards < 1) {
     std::fprintf(stderr,
                  "usage: walrus_serve <index_prefix> [port] [workers] "
-                 "[max_pending] [--shards N] [--cache M] [--wal-dir DIR] "
+                 "[max_pending] [--shards N] [--wal-dir DIR] "
                  "[--merge-threshold K] [--reactor-threads N] "
                  "[--max-conn-outbound-bytes B] [--drain-timeout-ms T]\n");
     return 2;
@@ -134,9 +129,7 @@ int main(int argc, char** argv) {
   }
   if (drain_timeout_ms >= 0) options.drain_timeout_ms = drain_timeout_ms;
 
-  // The sharded engine repartitions the opened catalog in memory; a cache
-  // without sharding still goes through ShardedIndex (num_shards=1 adds no
-  // fan-out overhead: shard 0 runs on the calling thread).
+  // The sharded engine repartitions the opened catalog in memory.
   std::unique_ptr<walrus::QueryEngine> engine;
   std::unique_ptr<walrus::LiveIndex> live;
   if (!wal_dir.empty()) {
@@ -147,7 +140,6 @@ int main(int argc, char** argv) {
     }
     walrus::LiveIndex::Options live_options;
     live_options.num_shards = num_shards;
-    live_options.cache_capacity = cache_capacity;
     live_options.merge_threshold = merge_threshold;
     auto opened = walrus::LiveIndex::Open(wal_dir, index->params(),
                                           live_options, &*index);
@@ -157,10 +149,9 @@ int main(int argc, char** argv) {
       return 1;
     }
     live = std::move(*opened);
-  } else if (num_shards > 1 || cache_capacity > 0) {
+  } else if (num_shards > 1) {
     walrus::ShardedIndex::Options shard_options;
     shard_options.num_shards = num_shards;
-    shard_options.cache_capacity = cache_capacity;
     auto partitioned = walrus::ShardedIndex::Partition(*index, shard_options);
     if (!partitioned.ok()) {
       std::fprintf(stderr, "sharding failed: %s\n",
@@ -183,11 +174,11 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf(
-      "walrusd: %zu images, %zu regions (%s backend, %d shard(s), cache "
-      "%zu) on port %u\n",
+      "walrusd: %zu images, %zu regions (%s backend, %d shard(s)) on port "
+      "%u\n",
       query_engine.ImageCount(), query_engine.RegionCount(),
       live != nullptr ? "live" : (index->is_paged() ? "paged" : "in-memory"),
-      num_shards, cache_capacity, server.port());
+      num_shards, server.port());
   if (live != nullptr) {
     std::printf("walrusd: live ingest on (wal dir %s, generation %llu, "
                 "merge threshold %zu)\n",
@@ -209,17 +200,6 @@ int main(int argc, char** argv) {
   for (size_t s = 0; s < stats.shard_probes.size(); ++s) {
     std::printf("walrusd: shard %zu probed %llu regions\n", s,
                 static_cast<unsigned long long>(stats.shard_probes[s]));
-  }
-  if (stats.result_cache_capacity > 0) {
-    uint64_t lookups = stats.result_cache_hits + stats.result_cache_misses;
-    std::printf(
-        "walrusd: result cache %llu/%llu hits (%.1f%%)\n",
-        static_cast<unsigned long long>(stats.result_cache_hits),
-        static_cast<unsigned long long>(lookups),
-        lookups == 0
-            ? 0.0
-            : 100.0 * static_cast<double>(stats.result_cache_hits) /
-                  static_cast<double>(lookups));
   }
   if (stats.has_ingest) {
     std::printf(

@@ -12,9 +12,10 @@ cd "$(dirname "$0")/.."
 JOBS="${JOBS:-$(nproc)}"
 failures=0
 
-# --- Stage 0: repo invariants (walrus-lint) + format diff ----------------
-# Dependency-free, so these never skip: the lint runs anywhere Python 3
-# does, and check_format.sh degrades to a no-op without clang-format.
+# --- Stage 0: repo invariants (walrus-lint, docs, bench table) + format ---
+# Dependency-free, so these never skip: the lint, the doc-link check and
+# the trajectory-table check run anywhere bash and Python 3 do, and
+# check_format.sh degrades to a no-op without clang-format.
 echo "== walrus-lint =="
 if ! python3 scripts/walrus_lint.py --self-test; then
   echo "check.sh: FAIL: walrus-lint self-test" >&2
@@ -22,6 +23,16 @@ if ! python3 scripts/walrus_lint.py --self-test; then
 fi
 if ! python3 scripts/walrus_lint.py; then
   echo "check.sh: FAIL: walrus-lint findings" >&2
+  failures=1
+fi
+echo "== doc links =="
+if ! scripts/check_docs.sh; then
+  echo "check.sh: FAIL: broken doc references" >&2
+  failures=1
+fi
+echo "== benchmark trajectory table =="
+if ! python3 scripts/bench_report.py --check; then
+  echo "check.sh: FAIL: BENCH_*.json schemas or EXPERIMENTS.md table" >&2
   failures=1
 fi
 echo "== clang-format (changed files) =="
@@ -63,7 +74,7 @@ cmake -B build-tsan -S . \
   -DWALRUS_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-tsan -j "$JOBS"
 if ! ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-    -R 'ThreadPool|ParallelIndex|QueryBatch|PagedConcurrency|WalrusServer|MalformedFrame|MetricsConcurrency|ShardedIndex|ResultCache|BatchedProbe|WalTest|WalCrashRecovery|LiveIndex|FaultInjection|ProtocolPipelineFuzz|SignatureFilter' >/dev/null; then
+    -R 'ThreadPool|ParallelIndex|QueryBatch|PagedConcurrency|WalrusServer|MalformedFrame|MetricsConcurrency|ShardedIndex|BatchedProbe|WalTest|WalCrashRecovery|LiveIndex|FaultInjection|ProtocolPipelineFuzz|SignatureFilter' >/dev/null; then
   echo "check.sh: FAIL: concurrency tests under TSan" >&2
   failures=1
 fi

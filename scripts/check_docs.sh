@@ -59,7 +59,7 @@ for doc in "${DOCS[@]}"; do
           echo "BROKEN: $doc -> $ref (glob matches nothing)"
           failures=$((failures + 1))
         } ;;
-      *'{'*)                        # `result_cache.{h,cc}` style
+      *'{'*)                        # `sharded_index.{h,cc}` style
         for expanded in $(eval echo "$ref" 2>/dev/null); do
           check_target "$doc" "$expanded"
         done ;;

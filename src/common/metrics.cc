@@ -93,6 +93,19 @@ double Histogram::Sum() const {
   return BitsDouble(sum_bits_.load(std::memory_order_relaxed));
 }
 
+MetricValue Histogram::Snapshot() const {
+  MetricValue value;
+  value.type = MetricType::kHistogram;
+  value.bounds = bounds_;
+  value.bucket_counts.resize(bounds_.size() + 1);
+  for (size_t i = 0; i < value.bucket_counts.size(); ++i) {
+    value.bucket_counts[i] = BucketCount(i);
+  }
+  value.count = TotalCount();
+  value.sum = Sum();
+  return value;
+}
+
 void Histogram::Reset() {
   for (size_t i = 0; i <= bounds_.size(); ++i) {
     buckets_[i].store(0, std::memory_order_relaxed);
@@ -273,17 +286,10 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
       case MetricType::kGauge:
         value.gauge = entry.gauge->Value();
         break;
-      case MetricType::kHistogram: {
-        const Histogram& h = *entry.histogram;
-        value.bounds = h.bounds();
-        value.bucket_counts.resize(value.bounds.size() + 1);
-        for (size_t i = 0; i < value.bucket_counts.size(); ++i) {
-          value.bucket_counts[i] = h.BucketCount(i);
-        }
-        value.count = h.TotalCount();
-        value.sum = h.Sum();
+      case MetricType::kHistogram:
+        value = entry.histogram->Snapshot();
+        value.name = name;
         break;
-      }
     }
     snapshot.metrics.push_back(std::move(value));
   }

@@ -53,6 +53,8 @@ class Gauge {
   std::atomic<int64_t> value_{0};
 };
 
+struct MetricValue;
+
 /// Fixed-bucket histogram: bucket i counts observations <= bounds[i]; one
 /// overflow bucket counts the rest. Observe() is lock-free (relaxed atomic
 /// adds), so it is safe from any number of threads concurrently with
@@ -72,6 +74,9 @@ class Histogram {
   uint64_t BucketCount(size_t i) const {
     return buckets_[i].load(std::memory_order_relaxed);
   }
+  /// Unnamed kHistogram MetricValue of the current state (the form
+  /// HistogramQuantile and the exposition renderers read).
+  MetricValue Snapshot() const;
   void Reset();
 
  private:
@@ -118,8 +123,8 @@ struct MetricsSnapshot {
 };
 
 /// Upper edge of the bucket holding quantile `q` in [0,1] of a histogram
-/// MetricValue (0 when empty). Bucket-resolution answer, like the server's
-/// latency histogram.
+/// MetricValue (0 when empty): a bucket-resolution answer, plenty for
+/// p50/p99 reporting.
 double HistogramQuantile(const MetricValue& histogram, double q);
 
 /// Prometheus-style text exposition ("name{} value", histograms as

@@ -120,11 +120,6 @@ struct QueryStats {
   int64_t cache_hits = 0;
   int64_t cache_misses = 0;
 
-  /// True when the query was answered from the engine's result cache (see
-  /// core/result_cache.h) — the extract/probe/match stages were skipped and
-  /// their per-stage timings above are zero.
-  bool result_cache_hit = false;
-
   /// Span tree of this query; populated when QueryOptions::collect_trace.
   std::vector<TraceSpan> spans;
 };

@@ -11,20 +11,14 @@
 
 namespace walrus {
 
-/// Engine-level counters surfaced by walrusd STATS (shard fan-out and
-/// result-cache health). All zero / empty for a single-index engine with no
-/// cache.
+/// Engine-level counters surfaced by walrusd STATS (shard fan-out). One
+/// shard and no probe counters for a single-index engine.
 struct EngineStats {
   /// Number of shards behind this engine (1 for a single index).
   int num_shards = 1;
   /// Regions retrieved by probes against each shard, cumulative since
   /// startup. Size == num_shards for a sharded engine; empty otherwise.
   std::vector<uint64_t> shard_probes;
-  /// Result-cache health; all zero when no cache is configured.
-  uint64_t result_cache_hits = 0;
-  uint64_t result_cache_misses = 0;
-  uint64_t result_cache_entries = 0;
-  uint64_t result_cache_capacity = 0;
 };
 
 /// Abstract query execution surface: everything the server, the batch entry
@@ -54,9 +48,9 @@ class QueryEngine {
   virtual EngineStats Stats() const = 0;
 };
 
-/// Trivial adapter: one WalrusIndex, no cache, no fan-out. Lets the server
-/// and batch path treat the monolithic and sharded cases uniformly. Holds a
-/// reference — the index must outlive the engine.
+/// Trivial adapter: one WalrusIndex, no fan-out. Lets the server and batch
+/// path treat the monolithic and sharded cases uniformly. Holds a reference
+/// — the index must outlive the engine.
 class SingleIndexEngine : public QueryEngine {
  public:
   explicit SingleIndexEngine(const WalrusIndex& index) : index_(index) {}

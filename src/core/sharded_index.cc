@@ -72,30 +72,22 @@ int ShardedIndex::ShardOf(uint64_t image_id, int num_shards) {
 }
 
 ShardedIndex::ShardedIndex(WalrusParams params, Options options)
-    : ShardedIndex(params, options,
+    : ShardedIndex(params,
                    EmptyShards(params, std::max(1, options.num_shards))) {}
 
-ShardedIndex::ShardedIndex(WalrusParams params, Options options,
+ShardedIndex::ShardedIndex(WalrusParams params,
                            std::vector<WalrusIndex> shards)
     : params_(std::move(params)),
-      options_(options),
       shards_(std::move(shards)),
       shard_probe_regions_(shards_.size()) {
-  if (options_.cache_capacity > 0) {
-    cache_ = std::make_unique<ResultCache>(options_.cache_capacity);
-  }
   int n = num_shards();
   shard_probe_counters_.reserve(n);
   for (int s = 0; s < n; ++s) {
     shard_probe_counters_.push_back(MetricsRegistry::Global().GetCounter(
         "walrus.sharded.probe_regions.s" + std::to_string(s)));
   }
-  if (n > 1) {
-    int threads = options_.fanout_threads > 0
-                      ? options_.fanout_threads
-                      : std::min(n, ThreadPool::DefaultThreads()) - 1;
-    if (threads >= 1) fanout_pool_ = std::make_unique<ThreadPool>(threads);
-  }
+  int threads = std::min(n, ThreadPool::DefaultThreads()) - 1;
+  if (threads >= 1) fanout_pool_ = std::make_unique<ThreadPool>(threads);
 }
 
 Result<ShardedIndex> ShardedIndex::Partition(const WalrusIndex& source,
@@ -113,8 +105,7 @@ Result<ShardedIndex> ShardedIndex::Partition(const WalrusIndex& source,
         WalrusIndex::FromRecords(source.params(), std::move(parts[s])));
     shards.push_back(std::move(shard));
   }
-  options.num_shards = n;
-  return ShardedIndex(source.params(), options, std::move(shards));
+  return ShardedIndex(source.params(), std::move(shards));
 }
 
 Result<std::vector<QueryMatch>> ShardedIndex::RunPipelineSharded(
@@ -332,18 +323,6 @@ Result<std::vector<QueryMatch>> ShardedIndex::RunPipelineSharded(
 Result<std::vector<QueryMatch>> ShardedIndex::RunQuery(
     const ImageF& query_image, const QueryOptions& options,
     QueryStats* stats) const {
-  // Trace collection bypasses the cache: a cached answer has no pipeline
-  // to trace, and spans are not part of the cached value.
-  const bool cacheable = cache_ != nullptr && !options.collect_trace;
-  if (stats != nullptr) stats->result_cache_hit = false;
-  ResultCache::Key key;
-  if (cacheable) {
-    key = ResultCache::MakeKey(query_image, options);
-    if (auto cached = cache_->Lookup(key)) {
-      if (stats != nullptr) stats->result_cache_hit = true;
-      return std::move(*cached);
-    }
-  }
   QueryTrace storage;
   QueryTrace* trace =
       options.collect_trace && stats != nullptr ? &storage : nullptr;
@@ -359,23 +338,12 @@ Result<std::vector<QueryMatch>> ShardedIndex::RunQuery(
   auto result = RunPipelineSharded(extracted.regions, extracted.query_area,
                                    options, stats, trace);
   if (trace != nullptr) stats->spans = trace->TakeSpans();
-  if (cacheable && result.ok()) cache_->Insert(key, *result);
   return result;
 }
 
 Result<std::vector<QueryMatch>> ShardedIndex::RunSceneQuery(
     const ImageF& query_image, const PixelRect& scene,
     const QueryOptions& options, QueryStats* stats) const {
-  const bool cacheable = cache_ != nullptr && !options.collect_trace;
-  if (stats != nullptr) stats->result_cache_hit = false;
-  ResultCache::Key key;
-  if (cacheable) {
-    key = ResultCache::MakeKey(query_image, scene, options);
-    if (auto cached = cache_->Lookup(key)) {
-      if (stats != nullptr) stats->result_cache_hit = true;
-      return std::move(*cached);
-    }
-  }
   QueryTrace storage;
   QueryTrace* trace =
       options.collect_trace && stats != nullptr ? &storage : nullptr;
@@ -392,7 +360,6 @@ Result<std::vector<QueryMatch>> ShardedIndex::RunSceneQuery(
   auto result = RunPipelineSharded(extracted.regions, extracted.query_area,
                                    options, stats, trace);
   if (trace != nullptr) stats->spans = trace->TakeSpans();
-  if (cacheable && result.ok()) cache_->Insert(key, *result);
   return result;
 }
 
@@ -415,25 +382,17 @@ EngineStats ShardedIndex::Stats() const {
   for (const auto& probes : shard_probe_regions_) {
     stats.shard_probes.push_back(probes.load(std::memory_order_relaxed));
   }
-  if (cache_ != nullptr) {
-    stats.result_cache_hits = cache_->hits();
-    stats.result_cache_misses = cache_->misses();
-    stats.result_cache_entries = cache_->size();
-    stats.result_cache_capacity = cache_->capacity();
-  }
   return stats;
 }
 
 Status ShardedIndex::AddImage(uint64_t image_id, const std::string& name,
                               const ImageF& image) {
-  if (cache_ != nullptr) cache_->Invalidate();
   return shards_[ShardOf(image_id, num_shards())].AddImage(image_id, name,
                                                            image);
 }
 
 Status ShardedIndex::AddImages(
     std::vector<WalrusIndex::PendingImage> images, int num_threads) {
-  if (cache_ != nullptr) cache_->Invalidate();
   const int n = num_shards();
   // Cross-shard pre-validation so a duplicate in a late shard's slice
   // cannot leave earlier shards mutated.
@@ -461,7 +420,6 @@ Status ShardedIndex::AddImages(
 }
 
 Status ShardedIndex::RemoveImage(uint64_t image_id) {
-  if (cache_ != nullptr) cache_->Invalidate();
   return shards_[ShardOf(image_id, num_shards())].RemoveImage(image_id);
 }
 
@@ -482,11 +440,6 @@ Status ShardedIndex::Save(const std::string& path_prefix, bool paged) const {
 }
 
 Result<ShardedIndex> ShardedIndex::Open(const std::string& path_prefix) {
-  return Open(path_prefix, Options());
-}
-
-Result<ShardedIndex> ShardedIndex::Open(const std::string& path_prefix,
-                                        Options options) {
   WALRUS_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
                           ReadFileBytes(path_prefix + ".smeta"));
   BinaryReader reader(bytes);
@@ -517,8 +470,7 @@ Result<ShardedIndex> ShardedIndex::Open(const std::string& path_prefix,
     shards.push_back(std::move(shard));
   }
   WalrusParams params = shards.front().params();
-  options.num_shards = static_cast<int>(num_shards);
-  return ShardedIndex(std::move(params), options, std::move(shards));
+  return ShardedIndex(std::move(params), std::move(shards));
 }
 
 }  // namespace walrus

@@ -12,7 +12,6 @@
 #include "core/index.h"
 #include "core/query.h"
 #include "core/query_engine.h"
-#include "core/result_cache.h"
 
 namespace walrus {
 
@@ -27,26 +26,16 @@ namespace walrus {
 /// top-k lists are merged by (distance, payload); exact tie order at the
 /// k-th distance can differ from a single tree's traversal-order ties.)
 ///
-/// An optional LRU result cache (core/result_cache.h) sits in front of the
-/// whole pipeline: repeated hot queries skip extraction, probing, and
-/// matching. Any mutation (AddImage / AddImages / RemoveImage) invalidates
-/// the entire cache — see the invalidation rules in DESIGN.md §11.
-///
 /// Thread-safety: concurrent queries are safe (shards are read-only during
-/// queries, the cache locks internally, fan-out uses a per-call latch on
-/// the engine's own pool). Mutations are NOT safe concurrently with queries
-/// or each other — same contract as WalrusIndex.
+/// queries, fan-out uses a per-call latch on the engine's own pool).
+/// Mutations are NOT safe concurrently with queries or each other — same
+/// contract as WalrusIndex.
 class ShardedIndex : public QueryEngine {
  public:
   struct Options {
     /// Number of shards (>= 1). Fixed for the lifetime of the engine and
     /// baked into saved layouts.
     int num_shards = 1;
-    /// Result-cache capacity in entries; 0 disables caching.
-    size_t cache_capacity = 0;
-    /// Fan-out pool size; 0 sizes it to min(num_shards, hardware) - 1
-    /// (the calling thread always runs shard 0's probe itself).
-    int fanout_threads = 0;
   };
 
   /// Which shard owns an image id: splitmix64(image_id) % num_shards.
@@ -77,7 +66,7 @@ class ShardedIndex : public QueryEngine {
   size_t RegionCount() const override;
   EngineStats Stats() const override;
 
-  // -- Mutations (invalidate the result cache) -----------------------------
+  // -- Mutations -----------------------------------------------------------
 
   /// Routes to the owning shard. Same contract as WalrusIndex::AddImage.
   Status AddImage(uint64_t image_id, const std::string& name,
@@ -99,20 +88,15 @@ class ShardedIndex : public QueryEngine {
   /// WalrusIndex::SavePaged per shard instead of Save.
   Status Save(const std::string& path_prefix, bool paged = false) const;
 
-  /// Opens a layout written by Save. Cache/fan-out sizing comes from
-  /// `options`; its num_shards is ignored (the manifest decides).
-  static Result<ShardedIndex> Open(const std::string& path_prefix,
-                                   Options options);
+  /// Opens a layout written by Save; the manifest decides the shard count.
   static Result<ShardedIndex> Open(const std::string& path_prefix);
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
   const WalrusIndex& shard(int i) const { return shards_[i]; }
   const WalrusParams& params() const { return params_; }
-  const ResultCache* result_cache() const { return cache_.get(); }
 
  private:
-  ShardedIndex(WalrusParams params, Options options,
-               std::vector<WalrusIndex> shards);
+  ShardedIndex(WalrusParams params, std::vector<WalrusIndex> shards);
 
   /// Probe + score on every shard in parallel, then merge and rank.
   Result<std::vector<QueryMatch>> RunPipelineSharded(
@@ -121,17 +105,17 @@ class ShardedIndex : public QueryEngine {
       QueryTrace* trace) const;
 
   WalrusParams params_;
-  Options options_;
   std::vector<WalrusIndex> shards_;
   /// Cumulative regions retrieved by probes, per shard (EngineStats).
   mutable std::vector<std::atomic<uint64_t>> shard_probe_regions_;
   /// Registry mirrors: walrus.sharded.probe_regions.s<i>.
   std::vector<Counter*> shard_probe_counters_;
-  std::unique_ptr<ResultCache> cache_;
-  /// Engine-owned fan-out pool. Separate from any caller pool on purpose:
-  /// ThreadPool::Wait() waits for ALL queued work, so per-query fan-out
-  /// synchronizes with a per-call latch instead, and nesting this engine
-  /// under ExecuteQueryBatch's pool cannot deadlock.
+  /// Engine-owned fan-out pool of min(num_shards, hardware) - 1 threads
+  /// (the calling thread always runs shard 0's probe itself). Separate
+  /// from any caller pool on purpose: ThreadPool::Wait() waits for ALL
+  /// queued work, so per-query fan-out synchronizes with a per-call latch
+  /// instead, and nesting this engine under ExecuteQueryBatch's pool
+  /// cannot deadlock.
   mutable std::unique_ptr<ThreadPool> fanout_pool_;
 };
 

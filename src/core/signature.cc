@@ -1,6 +1,7 @@
 #include "core/signature.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/math_util.h"
 #include "common/status.h"
@@ -10,6 +11,14 @@
 #include "common/check.h"
 
 namespace walrus {
+namespace {
+
+bool AllFinite(const std::vector<float>& values) {
+  return std::all_of(values.begin(), values.end(),
+                     [](float v) { return std::isfinite(v); });
+}
+
+}  // namespace
 
 void AppendNormalizedBlock(const float* raw_block, int s,
                            std::vector<float>* out) {
@@ -36,6 +45,14 @@ Result<WindowSignatureSet> ComputeWindowSignatures(
     const ImageF& image, const WalrusParams& params) {
   WALRUS_RETURN_IF_ERROR(params.Validate());
   if (image.empty()) return Status::InvalidArgument("empty image");
+  // A NaN pixel would reach the R*-tree as NaN bounds, and a color
+  // conversion would clamp an infinite one away silently. Every image
+  // passes through here before anything is indexed or logged.
+  for (int c = 0; c < image.channels(); ++c) {
+    if (!AllFinite(image.Plane(c))) {
+      return Status::InvalidArgument("image has a NaN or infinite pixel");
+    }
+  }
   WALRUS_ASSIGN_OR_RETURN(ImageF converted,
                           ConvertColorSpace(image, params.color_space));
   const int channels = params.Channels();
@@ -87,6 +104,11 @@ Result<WindowSignatureSet> ComputeWindowSignatures(
   }
   WALRUS_CHECK_EQ(set.signatures.size(),
                   set.windows.size() * static_cast<size_t>(set.dim));
+  // Finite pixels can still overflow float in the window sums.
+  if (!AllFinite(set.signatures)) {
+    return Status::InvalidArgument(
+        "image yields a non-finite window signature");
+  }
   return set;
 }
 

@@ -40,7 +40,8 @@ void AppendNormalizedBlock(const float* raw_block, int s,
 /// converted to params.color_space first). Uses the dynamic-programming
 /// sliding-window algorithm per channel. Images smaller than max_window in
 /// either dimension only produce the window sizes that fit; an error is
-/// returned when even min_window does not fit.
+/// returned when even min_window does not fit. InvalidArgument on a NaN or
+/// infinite pixel, and on any signature value that overflows float.
 Result<WindowSignatureSet> ComputeWindowSignatures(const ImageF& image,
                                                    const WalrusParams& params);
 

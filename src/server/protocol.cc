@@ -40,11 +40,10 @@ const char* OpcodeName(Opcode opcode) {
 }
 
 std::vector<uint8_t> EncodeFrame(Opcode opcode, uint64_t request_id,
-                                 const std::vector<uint8_t>& body,
-                                 uint8_t version) {
+                                 const std::vector<uint8_t>& body) {
   BinaryWriter writer;
   writer.PutU32(kProtocolMagic);
-  writer.PutU8(version);
+  writer.PutU8(kProtocolVersion);
   writer.PutU8(static_cast<uint8_t>(opcode));
   writer.PutU16(0);  // reserved
   writer.PutU64(request_id);
@@ -60,8 +59,7 @@ std::vector<uint8_t> EncodeFrame(Opcode opcode, uint64_t request_id,
 }
 
 FrameParts MakeFrameParts(Opcode opcode, uint64_t request_id,
-                          std::vector<std::vector<uint8_t>> body_chunks,
-                          uint8_t version) {
+                          std::vector<std::vector<uint8_t>> body_chunks) {
   FrameParts parts;
   parts.body = std::move(body_chunks);
   size_t body_bytes = 0;
@@ -74,7 +72,7 @@ FrameParts MakeFrameParts(Opcode opcode, uint64_t request_id,
   h[1] = static_cast<uint8_t>(kProtocolMagic >> 8);
   h[2] = static_cast<uint8_t>(kProtocolMagic >> 16);
   h[3] = static_cast<uint8_t>(kProtocolMagic >> 24);
-  h[4] = version;
+  h[4] = kProtocolVersion;
   h[5] = static_cast<uint8_t>(opcode);
   h[6] = 0;  // reserved
   h[7] = 0;
@@ -103,8 +101,7 @@ Status DecodeFrameHeader(const uint8_t* data, FrameHeader* out) {
   out->opcode = static_cast<Opcode>(data[5]);
   out->request_id = ReadU64Le(data + 8);
   out->body_length = ReadU32Le(data + 16);
-  if (out->version < kMinSupportedProtocolVersion ||
-      out->version > kProtocolVersion) {
+  if (out->version != kProtocolVersion) {
     return Status::InvalidArgument("frame: unsupported protocol version " +
                                    std::to_string(out->version));
   }
@@ -137,8 +134,7 @@ Status DecodeResponseStatus(BinaryReader* reader, Status* remote) {
   return Status::OK();
 }
 
-void EncodeQueryOptions(const QueryOptions& options, BinaryWriter* writer,
-                        uint8_t version) {
+void EncodeQueryOptions(const QueryOptions& options, BinaryWriter* writer) {
   writer->PutFloat(options.epsilon);
   writer->PutDouble(options.tau);
   writer->PutU8(static_cast<uint8_t>(options.matcher));
@@ -149,14 +145,11 @@ void EncodeQueryOptions(const QueryOptions& options, BinaryWriter* writer,
   writer->PutI32(options.top_k);
   writer->PutU8(options.collect_pairs ? 1 : 0);
   writer->PutU8(options.collect_trace ? 1 : 0);
-  if (version >= 5) {
-    writer->PutU8(options.batched_probe ? 1 : 0);
-    writer->PutU8(options.signature_prefilter ? 1 : 0);
-  }
+  writer->PutU8(options.batched_probe ? 1 : 0);
+  writer->PutU8(options.signature_prefilter ? 1 : 0);
 }
 
-Result<QueryOptions> DecodeQueryOptions(BinaryReader* reader,
-                                        uint8_t version) {
+Result<QueryOptions> DecodeQueryOptions(BinaryReader* reader) {
   QueryOptions options;
   WALRUS_ASSIGN_OR_RETURN(options.epsilon, reader->GetFloat());
   WALRUS_ASSIGN_OR_RETURN(options.tau, reader->GetDouble());
@@ -181,13 +174,10 @@ Result<QueryOptions> DecodeQueryOptions(BinaryReader* reader,
   options.collect_pairs = pairs != 0;
   WALRUS_ASSIGN_OR_RETURN(uint8_t trace, reader->GetU8());
   options.collect_trace = trace != 0;
-  if (version >= 5) {
-    WALRUS_ASSIGN_OR_RETURN(uint8_t batched, reader->GetU8());
-    options.batched_probe = batched != 0;
-    WALRUS_ASSIGN_OR_RETURN(uint8_t prefilter, reader->GetU8());
-    options.signature_prefilter = prefilter != 0;
-  }
-  // Older peers do not transmit the v5 knobs; this side's defaults apply.
+  WALRUS_ASSIGN_OR_RETURN(uint8_t batched, reader->GetU8());
+  options.batched_probe = batched != 0;
+  WALRUS_ASSIGN_OR_RETURN(uint8_t prefilter, reader->GetU8());
+  options.signature_prefilter = prefilter != 0;
   return options;
 }
 
@@ -302,8 +292,7 @@ Result<std::vector<QueryMatch>> DecodeMatches(BinaryReader* reader) {
   return matches;
 }
 
-void EncodeQueryStats(const QueryStats& stats, BinaryWriter* writer,
-                      uint8_t version) {
+void EncodeQueryStats(const QueryStats& stats, BinaryWriter* writer) {
   writer->PutI32(stats.query_regions);
   writer->PutI64(stats.regions_retrieved);
   writer->PutDouble(stats.avg_regions_per_query_region);
@@ -317,18 +306,14 @@ void EncodeQueryStats(const QueryStats& stats, BinaryWriter* writer,
   writer->PutI64(stats.pages_read);
   writer->PutI64(stats.cache_hits);
   writer->PutI64(stats.cache_misses);
-  writer->PutU8(stats.result_cache_hit ? 1 : 0);
   EncodeTraceSpans(stats.spans, writer);
-  // v5 fields ride after the span tree so the v4 prefix is byte-identical.
-  if (version >= 5) {
-    writer->PutDouble(stats.filter_seconds);
-    writer->PutI64(stats.prefilter_candidates_in);
-    writer->PutI64(stats.prefilter_pruned);
-    writer->PutI64(stats.prefilter_candidates_out);
-  }
+  writer->PutDouble(stats.filter_seconds);
+  writer->PutI64(stats.prefilter_candidates_in);
+  writer->PutI64(stats.prefilter_pruned);
+  writer->PutI64(stats.prefilter_candidates_out);
 }
 
-Result<QueryStats> DecodeQueryStats(BinaryReader* reader, uint8_t version) {
+Result<QueryStats> DecodeQueryStats(BinaryReader* reader) {
   QueryStats stats;
   WALRUS_ASSIGN_OR_RETURN(stats.query_regions, reader->GetI32());
   WALRUS_ASSIGN_OR_RETURN(stats.regions_retrieved, reader->GetI64());
@@ -344,15 +329,11 @@ Result<QueryStats> DecodeQueryStats(BinaryReader* reader, uint8_t version) {
   WALRUS_ASSIGN_OR_RETURN(stats.pages_read, reader->GetI64());
   WALRUS_ASSIGN_OR_RETURN(stats.cache_hits, reader->GetI64());
   WALRUS_ASSIGN_OR_RETURN(stats.cache_misses, reader->GetI64());
-  WALRUS_ASSIGN_OR_RETURN(uint8_t cache_hit, reader->GetU8());
-  stats.result_cache_hit = cache_hit != 0;
   WALRUS_ASSIGN_OR_RETURN(stats.spans, DecodeTraceSpans(reader));
-  if (version >= 5) {
-    WALRUS_ASSIGN_OR_RETURN(stats.filter_seconds, reader->GetDouble());
-    WALRUS_ASSIGN_OR_RETURN(stats.prefilter_candidates_in, reader->GetI64());
-    WALRUS_ASSIGN_OR_RETURN(stats.prefilter_pruned, reader->GetI64());
-    WALRUS_ASSIGN_OR_RETURN(stats.prefilter_candidates_out, reader->GetI64());
-  }
+  WALRUS_ASSIGN_OR_RETURN(stats.filter_seconds, reader->GetDouble());
+  WALRUS_ASSIGN_OR_RETURN(stats.prefilter_candidates_in, reader->GetI64());
+  WALRUS_ASSIGN_OR_RETURN(stats.prefilter_pruned, reader->GetI64());
+  WALRUS_ASSIGN_OR_RETURN(stats.prefilter_candidates_out, reader->GetI64());
   return stats;
 }
 
@@ -481,8 +462,7 @@ Result<MetricsSnapshot> DecodeMetricsSnapshot(BinaryReader* reader) {
   return snapshot;
 }
 
-void EncodeServerStats(const ServerStats& stats, BinaryWriter* writer,
-                       uint8_t version) {
+void EncodeServerStats(const ServerStats& stats, BinaryWriter* writer) {
   writer->PutU32(kNumOpcodes);
   for (uint64_t count : stats.requests_by_opcode) writer->PutU64(count);
   writer->PutU64(stats.rejected_overload);
@@ -496,10 +476,6 @@ void EncodeServerStats(const ServerStats& stats, BinaryWriter* writer,
   writer->PutU32(stats.num_shards);
   writer->PutU32(static_cast<uint32_t>(stats.shard_probes.size()));
   for (uint64_t probes : stats.shard_probes) writer->PutU64(probes);
-  writer->PutU64(stats.result_cache_hits);
-  writer->PutU64(stats.result_cache_misses);
-  writer->PutU64(stats.result_cache_entries);
-  writer->PutU64(stats.result_cache_capacity);
   writer->PutU8(stats.has_ingest ? 1 : 0);
   if (stats.has_ingest) {
     writer->PutU64(stats.ingest.inserts);
@@ -513,15 +489,12 @@ void EncodeServerStats(const ServerStats& stats, BinaryWriter* writer,
     writer->PutU64(stats.ingest.wal_synced_lsn);
     writer->PutU64(stats.ingest.wal_file_bytes);
   }
-  if (version >= 5) {
-    writer->PutU64(stats.prefilter_candidates_in);
-    writer->PutU64(stats.prefilter_pruned);
-    writer->PutU64(stats.prefilter_candidates_out);
-  }
+  writer->PutU64(stats.prefilter_candidates_in);
+  writer->PutU64(stats.prefilter_pruned);
+  writer->PutU64(stats.prefilter_candidates_out);
 }
 
-Result<ServerStats> DecodeServerStats(BinaryReader* reader,
-                                      uint8_t version) {
+Result<ServerStats> DecodeServerStats(BinaryReader* reader) {
   ServerStats stats;
   WALRUS_ASSIGN_OR_RETURN(uint32_t opcodes, reader->GetU32());
   if (opcodes != kNumOpcodes) {
@@ -551,10 +524,6 @@ Result<ServerStats> DecodeServerStats(BinaryReader* reader,
     WALRUS_ASSIGN_OR_RETURN(uint64_t probes, reader->GetU64());
     stats.shard_probes.push_back(probes);
   }
-  WALRUS_ASSIGN_OR_RETURN(stats.result_cache_hits, reader->GetU64());
-  WALRUS_ASSIGN_OR_RETURN(stats.result_cache_misses, reader->GetU64());
-  WALRUS_ASSIGN_OR_RETURN(stats.result_cache_entries, reader->GetU64());
-  WALRUS_ASSIGN_OR_RETURN(stats.result_cache_capacity, reader->GetU64());
   WALRUS_ASSIGN_OR_RETURN(uint8_t has_ingest, reader->GetU8());
   if (has_ingest > 1) {
     return Status::Corruption("server stats: bad ingest presence flag " +
@@ -573,11 +542,9 @@ Result<ServerStats> DecodeServerStats(BinaryReader* reader,
     WALRUS_ASSIGN_OR_RETURN(stats.ingest.wal_synced_lsn, reader->GetU64());
     WALRUS_ASSIGN_OR_RETURN(stats.ingest.wal_file_bytes, reader->GetU64());
   }
-  if (version >= 5) {
-    WALRUS_ASSIGN_OR_RETURN(stats.prefilter_candidates_in, reader->GetU64());
-    WALRUS_ASSIGN_OR_RETURN(stats.prefilter_pruned, reader->GetU64());
-    WALRUS_ASSIGN_OR_RETURN(stats.prefilter_candidates_out, reader->GetU64());
-  }
+  WALRUS_ASSIGN_OR_RETURN(stats.prefilter_candidates_in, reader->GetU64());
+  WALRUS_ASSIGN_OR_RETURN(stats.prefilter_pruned, reader->GetU64());
+  WALRUS_ASSIGN_OR_RETURN(stats.prefilter_candidates_out, reader->GetU64());
   return stats;
 }
 

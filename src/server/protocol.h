@@ -39,19 +39,19 @@ namespace walrus {
 inline constexpr uint32_t kProtocolMagic = 0x57414C52;  // "WALR"
 /// v2: QueryOptions gained collect_trace; QueryStats gained the per-stage
 /// breakdown and span tree; the METRICS opcode was added.
-/// v3: QueryStats gained result_cache_hit; ServerStats gained the shard
-/// fan-out section (num_shards, per-shard probe counts) and result-cache
-/// counters.
+/// v3: QueryStats gained a result-cache hit flag; ServerStats gained the
+/// shard fan-out section (num_shards, per-shard probe counts) and four
+/// result-cache counters.
 /// v4: the INSERT_IMAGE and DELETE_IMAGE mutation opcodes were added
 /// (answered with Unimplemented by read-only servers); ServerStats gained
 /// the ingest/WAL section.
 /// v5: QueryOptions gained batched_probe + signature_prefilter (so clients
 /// can A/B the probe paths remotely); QueryStats gained filter_seconds and
-/// the prefilter candidate counters. First version with a back-compat
-/// window: v4 frames are still accepted and answered in v4 (the v5 fields
-/// are simply not transmitted; the server applies its own defaults).
-inline constexpr uint8_t kProtocolVersion = 5;
-inline constexpr uint8_t kMinSupportedProtocolVersion = 4;
+/// the prefilter candidate counters. v4 frames were still accepted.
+/// v6: the result cache was removed, and with it the v3 hit flag and
+/// cache counters. Only v6 is accepted; the v5 probe and prefilter fields
+/// are part of every v6 body.
+inline constexpr uint8_t kProtocolVersion = 6;
 inline constexpr size_t kFrameHeaderBytes = 20;
 inline constexpr size_t kFrameTrailerBytes = 4;
 /// Upper bound on a frame body; larger length prefixes are rejected before
@@ -81,12 +81,9 @@ struct FrameHeader {
   uint32_t body_length = 0;
 };
 
-/// Builds a complete frame: header + body + CRC-32 trailer. `version`
-/// stamps the header byte; the caller must have encoded the body with the
-/// matching codec version.
+/// Builds a complete frame: header + body + CRC-32 trailer.
 std::vector<uint8_t> EncodeFrame(Opcode opcode, uint64_t request_id,
-                                 const std::vector<uint8_t>& body,
-                                 uint8_t version = kProtocolVersion);
+                                 const std::vector<uint8_t>& body);
 
 /// A frame held as scatter-gather segments: the fixed header, any number
 /// of body chunks (concatenated on the wire), and the CRC-32 trailer.
@@ -110,16 +107,14 @@ struct FrameParts {
 /// then chunks, so the bytes on the wire are identical to
 /// EncodeFrame(opcode, request_id, concat(body_chunks)).
 FrameParts MakeFrameParts(Opcode opcode, uint64_t request_id,
-                          std::vector<std::vector<uint8_t>> body_chunks,
-                          uint8_t version = kProtocolVersion);
+                          std::vector<std::vector<uint8_t>> body_chunks);
 
 /// Parses the fixed-size header (`data` must hold kFrameHeaderBytes).
 /// Corruption on bad magic (framing lost: the caller must drop the
-/// connection); InvalidArgument on a version outside
-/// [kMinSupportedProtocolVersion, kProtocolVersion] or an oversized
-/// body length (frame boundary may still be recoverable for the version
-/// case). Unknown opcodes are *not* rejected here so the connection can
-/// skip the body and answer with an error.
+/// connection); InvalidArgument on a version other than kProtocolVersion
+/// or an oversized body length (frame boundary may still be recoverable
+/// for the version case). Unknown opcodes are *not* rejected here so the
+/// connection can skip the body and answer with an error.
 Status DecodeFrameHeader(const uint8_t* data, FrameHeader* out);
 
 /// CRC-32 over header + body, as stored in the frame trailer.
@@ -132,13 +127,8 @@ Status DecodeResponseStatus(BinaryReader* reader, Status* remote);
 
 // ---- Body payload encodings (shared by server, client, and tests) -------
 
-/// Body codecs take the negotiated frame version: a server answering a v4
-/// request encodes/decodes v4 bodies (the v5 fields stay at their
-/// defaults), a v5 peer gets the full layout.
-void EncodeQueryOptions(const QueryOptions& options, BinaryWriter* writer,
-                        uint8_t version = kProtocolVersion);
-Result<QueryOptions> DecodeQueryOptions(BinaryReader* reader,
-                                        uint8_t version = kProtocolVersion);
+void EncodeQueryOptions(const QueryOptions& options, BinaryWriter* writer);
+Result<QueryOptions> DecodeQueryOptions(BinaryReader* reader);
 
 /// Planar float image; dimensions are validated on decode (kMaxImageSide,
 /// channel count 1..4) before any plane allocation.
@@ -153,10 +143,8 @@ void EncodeMatches(const std::vector<QueryMatch>& matches,
                    BinaryWriter* writer);
 Result<std::vector<QueryMatch>> DecodeMatches(BinaryReader* reader);
 
-void EncodeQueryStats(const QueryStats& stats, BinaryWriter* writer,
-                      uint8_t version = kProtocolVersion);
-Result<QueryStats> DecodeQueryStats(BinaryReader* reader,
-                                    uint8_t version = kProtocolVersion);
+void EncodeQueryStats(const QueryStats& stats, BinaryWriter* writer);
+Result<QueryStats> DecodeQueryStats(BinaryReader* reader);
 
 /// Query span tree (QueryStats::spans when QueryOptions::collect_trace is
 /// set). Nesting deeper than kMaxTraceDepth is rejected on decode.
@@ -188,11 +176,6 @@ struct ServerStats {
   /// probes against each shard.
   uint32_t num_shards = 1;
   std::vector<uint64_t> shard_probes;
-  /// Result-cache health (v3); all zero when no cache is configured.
-  uint64_t result_cache_hits = 0;
-  uint64_t result_cache_misses = 0;
-  uint64_t result_cache_entries = 0;
-  uint64_t result_cache_capacity = 0;
   /// Ingest/WAL section (v4): present only when the server fronts a live
   /// (mutable) engine; read-only servers send has_ingest = false.
   bool has_ingest = false;
@@ -203,10 +186,8 @@ struct ServerStats {
   uint64_t prefilter_pruned = 0;
   uint64_t prefilter_candidates_out = 0;
 };
-void EncodeServerStats(const ServerStats& stats, BinaryWriter* writer,
-                       uint8_t version = kProtocolVersion);
-Result<ServerStats> DecodeServerStats(BinaryReader* reader,
-                                      uint8_t version = kProtocolVersion);
+void EncodeServerStats(const ServerStats& stats, BinaryWriter* writer);
+Result<ServerStats> DecodeServerStats(BinaryReader* reader);
 
 }  // namespace walrus
 

@@ -1,7 +1,6 @@
 #include "server/server.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/crc32.h"
 #include "common/logging.h"
@@ -29,54 +28,22 @@ Histogram* RequestSecondsHistogram() {
 
 }  // namespace
 
-void WalrusServer::LatencyHistogram::Record(double seconds) {
-  double us = seconds * 1e6;
-  int bucket = 0;
-  if (us >= 1.0) {
-    bucket = std::min(kBuckets - 1,
-                      static_cast<int>(std::log2(us)) + 1);
-  }
-  counts[bucket].fetch_add(1, std::memory_order_relaxed);
-}
-
-double WalrusServer::LatencyHistogram::QuantileMs(double q) const {
-  uint64_t total = 0;
-  uint64_t snapshot[kBuckets];
-  for (int i = 0; i < kBuckets; ++i) {
-    snapshot[i] = counts[i].load(std::memory_order_relaxed);
-    total += snapshot[i];
-  }
-  if (total == 0) return 0.0;
-  uint64_t rank = static_cast<uint64_t>(q * static_cast<double>(total - 1));
-  uint64_t seen = 0;
-  for (int i = 0; i < kBuckets; ++i) {
-    seen += snapshot[i];
-    if (seen > rank) {
-      return std::pow(2.0, i) / 1e3;  // bucket upper edge, in ms
-    }
-  }
-  return std::pow(2.0, kBuckets - 1) / 1e3;
-}
-
 WalrusServer::WalrusServer(const WalrusIndex& index, ServerOptions options)
     : owned_engine_(std::make_unique<SingleIndexEngine>(index)),
       engine_(*owned_engine_),
       options_(std::move(options)) {
   for (auto& counter : requests_by_opcode_) counter.store(0);
-  for (auto& counter : latency_.counts) counter.store(0);
 }
 
 WalrusServer::WalrusServer(const QueryEngine& engine, ServerOptions options)
     : engine_(engine), options_(std::move(options)) {
   for (auto& counter : requests_by_opcode_) counter.store(0);
-  for (auto& counter : latency_.counts) counter.store(0);
 }
 
 WalrusServer::WalrusServer(const QueryEngine& engine, IngestEngine* ingest,
                            ServerOptions options)
     : engine_(engine), ingest_(ingest), options_(std::move(options)) {
   for (auto& counter : requests_by_opcode_) counter.store(0);
-  for (auto& counter : latency_.counts) counter.store(0);
 }
 
 WalrusServer::~WalrusServer() {
@@ -335,7 +302,7 @@ void WalrusServer::ExecuteRequest(const std::shared_ptr<ReactorConn>& conn,
       ImageF image;
       Status decoded = [&]() -> Status {
         WALRUS_ASSIGN_OR_RETURN(query_options,
-                                DecodeQueryOptions(&reader, header.version));
+                                DecodeQueryOptions(&reader));
         if (header.opcode == Opcode::kSceneQuery) {
           WALRUS_ASSIGN_OR_RETURN(scene, DecodePixelRect(&reader));
         }
@@ -359,11 +326,11 @@ void WalrusServer::ExecuteRequest(const std::shared_ptr<ReactorConn>& conn,
         break;
       }
       EncodeMatches(*matches, &payload);
-      EncodeQueryStats(stats, &payload, header.version);
+      EncodeQueryStats(stats, &payload);
       break;
     }
     case Opcode::kStats:
-      EncodeServerStats(Snapshot(), &payload, header.version);
+      EncodeServerStats(Snapshot(), &payload);
       break;
     case Opcode::kShutdown:
       RequestStop();
@@ -420,7 +387,7 @@ void WalrusServer::ExecuteRequest(const std::shared_ptr<ReactorConn>& conn,
   Respond(conn, seq, header, status, payload.TakeBuffer(), true);
   double seconds =
       std::chrono::duration<double>(Clock::now() - admitted).count();
-  latency_.Record(seconds);
+  latency_.Observe(seconds);
   RequestSecondsHistogram()->Observe(seconds);
 }
 
@@ -437,18 +404,9 @@ void WalrusServer::Respond(const std::shared_ptr<ReactorConn>& conn,
   if (status.ok() && !payload.empty()) {
     chunks.push_back(std::move(payload));  // zero-copy into the writev path
   }
-  // Answer in the requester's protocol version so a v4 client can decode
-  // the response. Out-of-range versions (error replies to frames we
-  // rejected) are clamped to something a current client can parse.
-  uint8_t version = header.version;
-  if (version < kMinSupportedProtocolVersion ||
-      version > kProtocolVersion) {
-    version = kProtocolVersion;
-  }
-  conn->Respond(seq,
-                MakeFrameParts(header.opcode, header.request_id,
-                               std::move(chunks), version),
-                ends_in_flight);
+  conn->Respond(
+      seq, MakeFrameParts(header.opcode, header.request_id, std::move(chunks)),
+      ends_in_flight);
 }
 
 ServerStats WalrusServer::Snapshot() const {
@@ -464,15 +422,12 @@ ServerStats WalrusServer::Snapshot() const {
   stats.bytes_out = bytes_out_.load(std::memory_order_relaxed);
   stats.connections_accepted =
       connections_accepted_.load(std::memory_order_relaxed);
-  stats.latency_p50_ms = latency_.QuantileMs(0.50);
-  stats.latency_p99_ms = latency_.QuantileMs(0.99);
+  MetricValue latency = latency_.Snapshot();
+  stats.latency_p50_ms = HistogramQuantile(latency, 0.50) * 1e3;
+  stats.latency_p99_ms = HistogramQuantile(latency, 0.99) * 1e3;
   EngineStats engine_stats = engine_.Stats();
   stats.num_shards = static_cast<uint32_t>(engine_stats.num_shards);
   stats.shard_probes = std::move(engine_stats.shard_probes);
-  stats.result_cache_hits = engine_stats.result_cache_hits;
-  stats.result_cache_misses = engine_stats.result_cache_misses;
-  stats.result_cache_entries = engine_stats.result_cache_entries;
-  stats.result_cache_capacity = engine_stats.result_cache_capacity;
   if (ingest_ != nullptr) {
     stats.has_ingest = true;
     stats.ingest = ingest_->IngestStatsSnapshot();

@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/socket.h"
 #include "common/sync.h"
 #include "common/thread_pool.h"
@@ -129,17 +130,6 @@ class WalrusServer : public FrameSink {
   ServerStats Snapshot() const;
 
  private:
-  /// Latency histogram with power-of-two microsecond buckets (bucket i
-  /// covers [2^i, 2^(i+1)) us). Lock-free increments; quantiles answer to
-  /// bucket resolution, plenty for p50/p99 reporting.
-  struct LatencyHistogram {
-    static constexpr int kBuckets = 32;
-    std::atomic<uint64_t> counts[kBuckets];
-    void Record(double seconds);
-    /// Upper edge (ms) of the bucket containing quantile `q` in [0,1].
-    double QuantileMs(double q) const;
-  };
-
   void AcceptLoop();
 
   /// FrameSink: parses complete frames out of `conn`'s input buffer on
@@ -195,7 +185,10 @@ class WalrusServer : public FrameSink {
   std::atomic<uint64_t> bytes_in_{0};
   std::atomic<uint64_t> bytes_out_{0};
   std::atomic<uint64_t> connections_accepted_{0};
-  LatencyHistogram latency_;
+  /// This server's request latency in seconds (STATS p50/p99), in the
+  /// bucket shape of walrus.server.request_seconds. Kept per server rather
+  /// than read from the process-wide registry, which sums every server.
+  Histogram latency_{ExponentialBuckets(1e-6, 2.0, 36)};
 };
 
 }  // namespace walrus

@@ -240,11 +240,9 @@ Result<std::unique_ptr<LiveIndex>> LiveIndex::Open(const std::string& dir,
     WALRUS_RETURN_IF_ERROR(WriteLiveManifest(dir, manifest));
   }
 
-  ShardedIndex::Options base_options;  // base carries no result cache
-  base_options.num_shards = static_cast<int>(manifest.num_shards);
   WALRUS_ASSIGN_OR_RETURN(
       ShardedIndex base,
-      ShardedIndex::Open(BasePrefix(dir, manifest.generation), base_options));
+      ShardedIndex::Open(BasePrefix(dir, manifest.generation)));
 
   // The persisted base is authoritative for params and shard count.
   WalrusParams live_params = base.params();
@@ -276,9 +274,6 @@ Result<std::unique_ptr<LiveIndex>> LiveIndex::Open(const std::string& dir,
                      << " WAL record(s) into the delta";
   }
 
-  if (options.cache_capacity > 0) {
-    live->cache_ = std::make_unique<ResultCache>(options.cache_capacity);
-  }
   if (options.merge_threshold > 0) {
     live->merge_pool_ = std::make_unique<ThreadPool>(1);
   }
@@ -375,10 +370,6 @@ Status LiveIndex::InsertImage(uint64_t image_id, const std::string& name,
   // Durability outside both locks: concurrent inserters share one fsync
   // (group commit), and queries are never blocked on storage.
   WALRUS_RETURN_IF_ERROR(wal_->Commit(lsn));
-  // Invalidate after apply: any reader that cached a pre-insert ranking
-  // did so while holding the state reader lock, i.e. strictly before the
-  // apply's writer lock — so this wipe cannot miss a stale entry.
-  if (cache_ != nullptr) cache_->Invalidate();
   {
     MutexLock lock(counter_mu_);
     ++inserts_;
@@ -416,7 +407,6 @@ Status LiveIndex::DeleteImage(uint64_t image_id) {
     }
   }
   WALRUS_RETURN_IF_ERROR(wal_->Commit(lsn));
-  if (cache_ != nullptr) cache_->Invalidate();
   {
     MutexLock lock(counter_mu_);
     ++deletes_;
@@ -522,8 +512,6 @@ Status LiveIndex::Merge() {
   // crash before this reset only costs a redundant-but-skipped replay.
   WALRUS_RETURN_IF_ERROR(wal_->Reset(next_start_lsn));
   UnlinkBaseFiles(dir_, BaseFilePrefix(old_generation));
-  // No cache invalidation: a merge changes the physical layout, never the
-  // live image set, and rankings are functions of the live set only.
   {
     MutexLock lock(counter_mu_);
     ++merges_;
@@ -725,19 +713,6 @@ Result<std::vector<QueryMatch>> LiveIndex::RunPipelineLive(
 Result<std::vector<QueryMatch>> LiveIndex::RunAnyQuery(
     const ImageF& query_image, const PixelRect* scene,
     const QueryOptions& options, QueryStats* stats) const {
-  // Trace collection bypasses the cache, same as the sharded engine.
-  const bool cacheable = cache_ != nullptr && !options.collect_trace;
-  if (stats != nullptr) stats->result_cache_hit = false;
-  ResultCache::Key key;
-  if (cacheable) {
-    key = scene != nullptr
-              ? ResultCache::MakeKey(query_image, *scene, options)
-              : ResultCache::MakeKey(query_image, options);
-    if (auto cached = cache_->Lookup(key)) {
-      if (stats != nullptr) stats->result_cache_hit = true;
-      return std::move(*cached);
-    }
-  }
   QueryTrace storage;
   QueryTrace* trace =
       options.collect_trace && stats != nullptr ? &storage : nullptr;
@@ -753,13 +728,9 @@ Result<std::vector<QueryMatch>> LiveIndex::RunAnyQuery(
     stats->seconds = extract_seconds;
     stats->extract_seconds = extract_seconds;
   }
-  // The cache insert happens while still holding the reader lock: any
-  // mutation that would invalidate this ranking has to wait for the
-  // writer lock first, so its Invalidate() always runs after our Insert().
   ReaderMutexLock lock(state_mu_);
   auto result = RunPipelineLive(extracted->regions, extracted->query_area,
                                 options, stats);
-  if (cacheable && result.ok()) cache_->Insert(key, *result);
   if (trace != nullptr) stats->spans = trace->TakeSpans();
   return result;
 }
@@ -788,16 +759,8 @@ size_t LiveIndex::RegionCount() const {
 
 EngineStats LiveIndex::Stats() const {
   EngineStats stats;
-  {
-    ReaderMutexLock lock(state_mu_);
-    stats.num_shards = base_->num_shards();
-  }
-  if (cache_ != nullptr) {
-    stats.result_cache_hits = cache_->hits();
-    stats.result_cache_misses = cache_->misses();
-    stats.result_cache_entries = cache_->size();
-    stats.result_cache_capacity = cache_->capacity();
-  }
+  ReaderMutexLock lock(state_mu_);
+  stats.num_shards = base_->num_shards();
   return stats;
 }
 

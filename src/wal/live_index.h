@@ -15,7 +15,6 @@
 #include "core/ingest_engine.h"
 #include "core/query.h"
 #include "core/query_engine.h"
-#include "core/result_cache.h"
 #include "core/sharded_index.h"
 #include "wal/wal.h"
 
@@ -61,8 +60,6 @@ class LiveIndex : public QueryEngine, public IngestEngine {
     /// Base partition count (>= 1); fixed at first boot, persisted in the
     /// MANIFEST, and authoritative on reopen.
     int num_shards = 1;
-    /// Result-cache capacity in entries; 0 disables caching.
-    size_t cache_capacity = 0;
     /// Delta images + tombstones that trigger a background merge;
     /// 0 = merge only when Merge() is called explicitly.
     size_t merge_threshold = 64;
@@ -124,7 +121,6 @@ class LiveIndex : public QueryEngine, public IngestEngine {
 
   const std::string& dir() const { return dir_; }
   const WalrusParams& params() const { return params_; }
-  const ResultCache* result_cache() const { return cache_.get(); }
 
  private:
   LiveIndex(std::string dir, WalrusParams params, Options options);
@@ -160,7 +156,6 @@ class LiveIndex : public QueryEngine, public IngestEngine {
   const Options options_;
 
   std::unique_ptr<WriteAheadLog> wal_;
-  std::unique_ptr<ResultCache> cache_;
 
   /// Serializes mutations and merges; never held while fsyncing the WAL.
   mutable Mutex ingest_mu_ WALRUS_ACQUIRED_BEFORE(state_mu_);

@@ -1,6 +1,8 @@
 #include "core/index.h"
 
+#include <cfloat>
 #include <cstdio>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -109,6 +111,60 @@ TEST(WalrusIndex, SaveOpenRoundTrip) {
 
 TEST(WalrusIndex, OpenMissingFilesFails) {
   EXPECT_FALSE(WalrusIndex::Open("/no/such/prefix").ok());
+}
+
+/// A solid image with one pixel replaced by `value`.
+ImageF WithPixel(float value) {
+  ImageF image = ColoredImage(0.3f, 0.6f, 0.2f);
+  image.Plane(2)[17 * 64 + 40] = value;
+  return image;
+}
+
+TEST(WalrusIndex, NonFinitePixelsAreRejectedBeforeIndexing) {
+  for (float bad : {std::numeric_limits<float>::quiet_NaN(),
+                    std::numeric_limits<float>::infinity(),
+                    -std::numeric_limits<float>::infinity()}) {
+    WalrusIndex index(TestParams());
+    ASSERT_TRUE(index.AddImage(1, "ok", ColoredImage(0.9f, 0.1f, 0.1f)).ok());
+    EXPECT_EQ(index.AddImage(2, "bad", WithPixel(bad)).code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+
+    std::vector<WalrusIndex::PendingImage> batch;
+    batch.push_back({3, "fine", ColoredImage(0.1f, 0.8f, 0.1f)});
+    batch.push_back({4, "bad", WithPixel(bad)});
+    EXPECT_EQ(index.AddImages(std::move(batch), 1).code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+
+    // Nothing of either rejected call reached the index.
+    EXPECT_EQ(index.ImageCount(), 1u);
+    EXPECT_TRUE(index.ValidateConsistency().ok());
+  }
+}
+
+TEST(WalrusIndex, HugeFinitePixelDoesNotAbortAndReopens) {
+  std::string prefix = ::testing::TempDir() + "/walrus_index_flt_max";
+  // A color conversion clamps FLT_MAX into range; signatures computed in
+  // the image's own RGB space carry it into the window sums unclamped.
+  for (ColorSpace space : {ColorSpace::kYCC, ColorSpace::kRGB}) {
+    {
+      WalrusParams params = TestParams();
+      params.color_space = space;
+      WalrusIndex index(params);
+      Status added = index.AddImage(1, "huge", WithPixel(FLT_MAX));
+      EXPECT_TRUE(added.ok() || added.code() == StatusCode::kInvalidArgument)
+          << added;
+      ASSERT_TRUE(index.AddImage(2, "ok", ColoredImage(0.9f, 0.1f, 0.1f))
+                      .ok());
+      EXPECT_TRUE(index.ValidateConsistency().ok());
+      ASSERT_TRUE(index.Save(prefix).ok());
+    }
+    Result<WalrusIndex> opened = WalrusIndex::Open(prefix);
+    EXPECT_TRUE(opened.ok()) << opened.status();
+    std::remove((prefix + ".catalog").c_str());
+    std::remove((prefix + ".index").c_str());
+  }
 }
 
 }  // namespace

@@ -55,10 +55,9 @@ class ShardedIndexTest : public ::testing::Test {
     }
   }
 
-  ShardedIndex MakeSharded(int num_shards, size_t cache = 0) {
+  ShardedIndex MakeSharded(int num_shards) {
     ShardedIndex::Options options;
     options.num_shards = num_shards;
-    options.cache_capacity = cache;
     auto sharded = ShardedIndex::Partition(*single_, options);
     EXPECT_TRUE(sharded.ok()) << sharded.status();
     return std::move(*sharded);
@@ -187,7 +186,6 @@ TEST_F(ShardedIndexTest, StatsAggregateAcrossShards) {
   EXPECT_EQ(sharded_stats.query_regions, single_stats.query_regions);
   EXPECT_EQ(sharded_stats.regions_retrieved, single_stats.regions_retrieved);
   EXPECT_EQ(sharded_stats.distinct_images, single_stats.distinct_images);
-  EXPECT_FALSE(sharded_stats.result_cache_hit);
 
   EngineStats engine_stats = sharded.Stats();
   EXPECT_EQ(engine_stats.num_shards, 4);
@@ -269,12 +267,25 @@ TEST_F(ShardedIndexTest, BatchMatchesSequentialThroughEngine) {
 }
 
 // TSan soak: many client threads hammer the sharded engine (fan-out pool +
-// result cache + per-shard probe counters) concurrently. Run under
-// scripts/check.sh's TSan build via the 'ShardedIndex' filter.
+// per-shard probe counters) concurrently, and every answer must still be
+// the single index's ranking. Run under scripts/check.sh's TSan build via
+// the 'ShardedIndex' filter.
 TEST_F(ShardedIndexTest, ConcurrentQuerySoak) {
-  ShardedIndex sharded = MakeSharded(4, /*cache=*/16);
+  ShardedIndex sharded = MakeSharded(4);
   QueryOptions options;
   options.epsilon = 0.12f;
+  constexpr int kImages = 8;
+  const PixelRect scene{0, 0, 64, 64};
+  std::vector<std::vector<QueryMatch>> expected_whole(kImages);
+  std::vector<std::vector<QueryMatch>> expected_scene(kImages);
+  for (int i = 0; i < kImages; ++i) {
+    auto whole = ExecuteQuery(*single_, dataset_[i].image, options);
+    auto in_scene =
+        ExecuteSceneQuery(*single_, dataset_[i].image, scene, options);
+    ASSERT_TRUE(whole.ok() && in_scene.ok());
+    expected_whole[i] = std::move(*whole);
+    expected_scene[i] = std::move(*in_scene);
+  }
   constexpr int kThreads = 8;
   constexpr int kQueriesPerThread = 12;
   std::vector<std::thread> threads;
@@ -282,21 +293,26 @@ TEST_F(ShardedIndexTest, ConcurrentQuerySoak) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int q = 0; q < kQueriesPerThread; ++q) {
-        const ImageF& image = dataset_[(t + q) % 8].image;
+        const int i = (t + q) % kImages;
+        const bool in_scene = (t + q) % 3 == 0;
         QueryStats stats;
-        auto result = (t + q) % 3 == 0
-                          ? sharded.RunSceneQuery(
-                                image, PixelRect{0, 0, 64, 64}, options,
-                                &stats)
-                          : sharded.RunQuery(image, options, &stats);
-        if (!result.ok()) ++failures[t];
+        auto result =
+            in_scene
+                ? sharded.RunSceneQuery(dataset_[i].image, scene, options,
+                                        &stats)
+                : sharded.RunQuery(dataset_[i].image, options, &stats);
+        if (!result.ok()) {
+          ++failures[t];
+          continue;
+        }
+        ExpectIdenticalRankings(
+            in_scene ? expected_scene[i] : expected_whole[i], *result,
+            "thread " + std::to_string(t) + " query " + std::to_string(q));
       }
     });
   }
   for (std::thread& t : threads) t.join();
   for (int t = 0; t < kThreads; ++t) EXPECT_EQ(failures[t], 0) << t;
-  ASSERT_NE(sharded.result_cache(), nullptr);
-  EXPECT_GT(sharded.result_cache()->hits(), 0u);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include "core/signature.h"
 
+#include <cfloat>
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -146,6 +148,47 @@ TEST(Signature, RejectsTooSmallImage) {
   WalrusParams p = SmallParams();  // min_window 8
   ImageF img = RandomRgb(6, 6, 4);
   EXPECT_FALSE(ComputeWindowSignatures(img, p).ok());
+}
+
+TEST(Signature, NonFinitePixelsAreInvalidArgument) {
+  for (float bad : {std::numeric_limits<float>::quiet_NaN(),
+                    std::numeric_limits<float>::infinity(),
+                    -std::numeric_limits<float>::infinity()}) {
+    ImageF img = RandomRgb(32, 32, 7);
+    img.Plane(1)[5 * 32 + 9] = bad;
+    WalrusParams p = SmallParams();
+    EXPECT_EQ(ComputeWindowSignatures(img, p).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+    // Refined (larger) signatures take the same path and the same check.
+    p.signature_size = 4;
+    EXPECT_EQ(ComputeWindowSignatures(img, p).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad << " refined";
+  }
+}
+
+TEST(Signature, HugeFinitePixelDoesNotAbort) {
+  ImageF img = RandomRgb(32, 32, 8);
+  img.Plane(0)[3 * 32 + 3] = FLT_MAX;
+  Result<WindowSignatureSet> set = ComputeWindowSignatures(img, SmallParams());
+  // Either answer is allowed; finite output is all that may come back.
+  if (set.ok()) {
+    for (float v : set->signatures) ASSERT_TRUE(std::isfinite(v));
+  } else {
+    EXPECT_EQ(set.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(Signature, OverflowingWindowSumsAreInvalidArgument) {
+  // In its own RGB space the image is not clamped by a conversion, and a
+  // plane of FLT_MAX overflows the Haar sums to infinity.
+  WalrusParams p = SmallParams();
+  p.color_space = ColorSpace::kRGB;
+  ImageF img = RandomRgb(32, 32, 9);
+  for (float& v : img.Plane(0)) v = FLT_MAX;
+  EXPECT_EQ(ComputeWindowSignatures(img, p).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(Signature, CapsMaxWindowToImage) {

@@ -127,41 +127,24 @@ TEST(ProtocolTest, QueryOptionsRoundTrip) {
   EXPECT_EQ(decoded->signature_prefilter, options.signature_prefilter);
 }
 
-TEST(ProtocolTest, QueryOptionsV4OmitsProbeKnobsAndDecodesToDefaults) {
-  QueryOptions options;
-  options.batched_probe = false;
-  options.signature_prefilter = false;
-
-  // A v4 body does not carry the probe knobs at all...
-  BinaryWriter v4;
-  EncodeQueryOptions(options, &v4, /*version=*/4);
-  BinaryWriter v5;
-  EncodeQueryOptions(options, &v5, /*version=*/5);
-  EXPECT_EQ(v5.size(), v4.size() + 2);
-
-  // ...so a v4 decode applies this side's defaults (both true).
-  BinaryReader reader(v4.buffer());
-  auto decoded = DecodeQueryOptions(&reader, /*version=*/4);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_TRUE(decoded->batched_probe);
-  EXPECT_TRUE(decoded->signature_prefilter);
-  EXPECT_EQ(reader.remaining(), 0u);
-}
-
 TEST(ProtocolTest, FrameHeaderAcceptsSupportedVersionWindow) {
-  for (uint8_t version = kMinSupportedProtocolVersion;
-       version <= kProtocolVersion; ++version) {
-    std::vector<uint8_t> frame = EncodeFrame(Opcode::kPing, 7, {}, version);
+  // The window is exactly one version wide: v6 decodes, and every other
+  // header byte -- the retired v4 and v5 included -- is InvalidArgument.
+  EXPECT_EQ(kProtocolVersion, 6);
+  std::vector<uint8_t> frame = EncodeFrame(Opcode::kPing, 7, {});
+  EXPECT_EQ(frame[4], kProtocolVersion);
+  for (int version = 0; version <= 255; ++version) {
+    frame[4] = static_cast<uint8_t>(version);
     FrameHeader header;
-    ASSERT_TRUE(DecodeFrameHeader(frame.data(), &header).ok())
-        << "version " << static_cast<int>(version);
-    EXPECT_EQ(header.version, version);
+    Status status = DecodeFrameHeader(frame.data(), &header);
+    if (version == kProtocolVersion) {
+      EXPECT_TRUE(status.ok()) << status;
+      EXPECT_EQ(header.version, kProtocolVersion);
+    } else {
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+          << "version " << version;
+    }
   }
-  std::vector<uint8_t> old_frame =
-      EncodeFrame(Opcode::kPing, 7, {}, kMinSupportedProtocolVersion - 1);
-  FrameHeader header;
-  EXPECT_EQ(DecodeFrameHeader(old_frame.data(), &header).code(),
-            StatusCode::kInvalidArgument);
 }
 
 TEST(ProtocolTest, ImageRoundTrip) {
@@ -279,21 +262,6 @@ TEST(ProtocolTest, ServerStatsRoundTrip) {
   EXPECT_EQ(decoded->prefilter_pruned, 342000u);
   EXPECT_EQ(decoded->prefilter_candidates_out, 109395u);
   EXPECT_EQ(reader.remaining(), 0u);
-
-  // v4 encoding is a byte-identical prefix: the prefilter funnel is a v5
-  // tail, and a v4 decode of a v4 payload leaves the fields at zero.
-  BinaryWriter v4;
-  EncodeServerStats(stats, &v4, 4);
-  ASSERT_EQ(writer.size(), v4.size() + 3 * 8);
-  EXPECT_TRUE(std::equal(v4.buffer().begin(), v4.buffer().end(),
-                         writer.buffer().begin()));
-  BinaryReader v4_reader(v4.buffer());
-  auto v4_decoded = DecodeServerStats(&v4_reader, 4);
-  ASSERT_TRUE(v4_decoded.ok());
-  EXPECT_EQ(v4_decoded->prefilter_candidates_in, 0u);
-  EXPECT_EQ(v4_decoded->prefilter_pruned, 0u);
-  EXPECT_EQ(v4_decoded->prefilter_candidates_out, 0u);
-  EXPECT_EQ(v4_reader.remaining(), 0u);
 }
 
 TEST(ProtocolTest, QueryStatsRoundTripCarriesStageBreakdown) {
@@ -352,22 +320,7 @@ TEST(ProtocolTest, QueryStatsRoundTripCarriesStageBreakdown) {
   EXPECT_EQ(decoded->prefilter_candidates_in, 36649);
   EXPECT_EQ(decoded->prefilter_pruned, 28000);
   EXPECT_EQ(decoded->prefilter_candidates_out, 7293);
-
-  // The v4 encoding is a byte-identical prefix of the v5 one: the new
-  // fields ride strictly after the frozen v4 layout, so a v4 peer's
-  // decoder never sees them.
-  BinaryWriter v4;
-  EncodeQueryStats(stats, &v4, /*version=*/4);
-  ASSERT_EQ(writer.size(), v4.size() + 8 + 3 * 8);
-  EXPECT_TRUE(std::equal(v4.buffer().begin(), v4.buffer().end(),
-                         writer.buffer().begin()));
-  BinaryReader v4_reader(v4.buffer());
-  auto v4_decoded = DecodeQueryStats(&v4_reader, /*version=*/4);
-  ASSERT_TRUE(v4_decoded.ok());
-  EXPECT_EQ(v4_decoded->probe_seconds, 0.0625);
-  EXPECT_EQ(v4_decoded->filter_seconds, 0.0);
-  EXPECT_EQ(v4_decoded->prefilter_candidates_in, 0);
-  EXPECT_EQ(v4_reader.remaining(), 0u);
+  EXPECT_EQ(reader.remaining(), 0u);
 }
 
 TEST(ProtocolTest, TraceSpansRoundTripEmpty) {

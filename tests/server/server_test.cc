@@ -16,6 +16,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -298,52 +299,6 @@ TEST_F(WalrusServerTest, ErrorRepliesNameTheRequest) {
   server.Stop();
 }
 
-// A v4 client (previous protocol revision) is still served: the server
-// decodes the v4 body, runs the query, and answers in v4 — the response
-// frame is stamped v4 and carries no v5 stats tail.
-TEST_F(WalrusServerTest, V4QueryFrameIsAnsweredInV4) {
-  WalrusServer server(*index_, ServerOptions{});
-  ASSERT_TRUE(server.Start().ok());
-  auto fd = ConnectTcp("127.0.0.1", server.port());
-  ASSERT_TRUE(fd.ok());
-
-  QueryOptions options;
-  options.epsilon = 0.085f;
-  BinaryWriter body;
-  EncodeQueryOptions(options, &body, /*version=*/4);
-  EncodeImage(dataset_[0].image, &body);
-  std::vector<uint8_t> frame =
-      EncodeFrame(Opcode::kQuery, 41, body.TakeBuffer(), /*version=*/4);
-  ASSERT_TRUE(WriteFull(fd->get(), frame.data(), frame.size()).ok());
-
-  std::vector<uint8_t> header_bytes(kFrameHeaderBytes);
-  ASSERT_TRUE(
-      ReadFull(fd->get(), header_bytes.data(), header_bytes.size()).ok());
-  FrameHeader header;
-  ASSERT_TRUE(DecodeFrameHeader(header_bytes.data(), &header).ok());
-  EXPECT_EQ(header.version, 4);
-  EXPECT_EQ(header.request_id, 41u);
-  std::vector<uint8_t> response(header.body_length);
-  ASSERT_TRUE(ReadFull(fd->get(), response.data(), response.size()).ok());
-  uint8_t trailer[kFrameTrailerBytes];
-  ASSERT_TRUE(ReadFull(fd->get(), trailer, sizeof(trailer)).ok());
-
-  BinaryReader reader(response);
-  Status remote;
-  ASSERT_TRUE(DecodeResponseStatus(&reader, &remote).ok());
-  ASSERT_TRUE(remote.ok()) << remote;
-  auto matches = DecodeMatches(&reader);
-  ASSERT_TRUE(matches.ok()) << matches.status();
-  auto stats = DecodeQueryStats(&reader, /*version=*/4);
-  ASSERT_TRUE(stats.ok()) << stats.status();
-  // The v4 decode consumed the whole body: no v5 tail was transmitted.
-  EXPECT_EQ(reader.remaining(), 0u);
-  // And the query actually ran: it found the indexed copy of the image.
-  ASSERT_FALSE(matches->empty());
-  EXPECT_EQ((*matches)[0].image_id, static_cast<uint64_t>(dataset_[0].id));
-  server.Stop();
-}
-
 // ---- Protocol robustness: the malformed-frame suite ---------------------
 
 class MalformedFrameTest : public WalrusServerTest {
@@ -410,20 +365,28 @@ TEST_F(MalformedFrameTest, BadVersionKeepsConnectionUsable) {
   StartServer();
   auto fd = Connect();
   ASSERT_TRUE(fd.ok());
-  std::vector<uint8_t> frame = EncodeFrame(Opcode::kPing, 5, {});
-  frame[4] = 9;  // unsupported version; CRC recomputed to keep framing valid
-  uint32_t crc = FrameCrc(frame.data(), {});
-  for (int i = 0; i < 4; ++i) {
-    frame[kFrameHeaderBytes + i] = static_cast<uint8_t>(crc >> (8 * i));
-  }
-  ASSERT_TRUE(WriteFull(fd->get(), frame.data(), frame.size()).ok());
-  Status response = ReadResponseStatus(fd->get());
-  EXPECT_EQ(response.code(), StatusCode::kInvalidArgument) << response;
+  // The retired v4 and v5 revisions are refused like a future v9: only the
+  // current version is served.
+  uint64_t request_id = 5;
+  for (uint8_t version : {4, 5, 9}) {
+    std::vector<uint8_t> frame = EncodeFrame(Opcode::kPing, request_id++, {});
+    frame[4] = version;  // CRC recomputed below to keep framing valid
+    uint32_t crc = FrameCrc(frame.data(), {});
+    for (int i = 0; i < 4; ++i) {
+      frame[kFrameHeaderBytes + i] = static_cast<uint8_t>(crc >> (8 * i));
+    }
+    ASSERT_TRUE(WriteFull(fd->get(), frame.data(), frame.size()).ok());
+    Status response = ReadResponseStatus(fd->get());
+    EXPECT_EQ(response.code(), StatusCode::kInvalidArgument)
+        << "v" << static_cast<int>(version) << ": " << response;
 
-  // Same connection, valid frame: still served.
-  std::vector<uint8_t> good = EncodeFrame(Opcode::kPing, 6, {});
-  ASSERT_TRUE(WriteFull(fd->get(), good.data(), good.size()).ok());
-  EXPECT_TRUE(ReadResponseStatus(fd->get()).ok());
+    // Same connection, valid frame: still served.
+    std::vector<uint8_t> good = EncodeFrame(Opcode::kPing, request_id++, {});
+    ASSERT_TRUE(WriteFull(fd->get(), good.data(), good.size()).ok());
+    EXPECT_TRUE(ReadResponseStatus(fd->get()).ok())
+        << "after v" << static_cast<int>(version);
+  }
+  EXPECT_EQ(server_->Snapshot().protocol_errors, 3u);
 }
 
 TEST_F(MalformedFrameTest, CorruptedCrcKeepsConnectionUsable) {
@@ -801,6 +764,50 @@ TEST_F(WalrusServerTest, PipelinedMutationsExecuteInArrivalOrder) {
       << "query pipelined behind the insert missed the inserted image";
   EXPECT_FALSE(contains(after_delete->matches))
       << "query pipelined behind the delete still sees the deleted image";
+  server.Stop();
+}
+
+// Non-finite pixels sent over the wire are refused per request: QUERY,
+// SCENE_QUERY and INSERT_IMAGE each answer InvalidArgument, nothing is
+// logged, and the same connection keeps serving.
+TEST_F(WalrusServerTest, NonFinitePixelsAreRejectedPerRequest) {
+  std::string dir = ::testing::TempDir() + "/walrus_server_nonfinite_wal";
+  ASSERT_TRUE(::mkdir(dir.c_str(), 0755) == 0 || errno == EEXIST);
+  LiveIndex::Options live_options;
+  live_options.merge_threshold = 0;
+  auto live = LiveIndex::Open(dir, TestParams(), live_options, index_.get());
+  ASSERT_TRUE(live.ok()) << live.status();
+  const size_t images_before = (*live)->ImageCount();
+  const uint64_t wal_before = (*live)->IngestStatsSnapshot().wal_records;
+
+  WalrusServer server(**live, live->get(), ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  auto client = WalrusClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok()) << client.status();
+  QueryOptions options;
+  options.epsilon = 0.085f;
+  uint64_t id = 7000;
+  for (float bad : {std::numeric_limits<float>::quiet_NaN(),
+                    std::numeric_limits<float>::infinity(),
+                    -std::numeric_limits<float>::infinity()}) {
+    ImageF image = dataset_[1].image;
+    image.Plane(0)[30 * 64 + 30] = bad;
+    auto query = client->Query(image, options);
+    EXPECT_EQ(query.status().code(), StatusCode::kInvalidArgument)
+        << bad << ": " << query.status();
+    auto scene = client->SceneQuery(image, PixelRect{16, 16, 32, 32}, options);
+    EXPECT_EQ(scene.status().code(), StatusCode::kInvalidArgument)
+        << bad << ": " << scene.status();
+    Status insert = client->InsertImage(id++, "bad", image);
+    EXPECT_EQ(insert.code(), StatusCode::kInvalidArgument)
+        << bad << ": " << insert;
+    EXPECT_TRUE(client->Ping().ok()) << "connection unusable after " << bad;
+  }
+  EXPECT_EQ((*live)->ImageCount(), images_before);
+  EXPECT_EQ((*live)->IngestStatsSnapshot().wal_records, wal_before);
+  auto good = client->Query(dataset_[1].image, options);
+  ASSERT_TRUE(good.ok()) << good.status();
+  EXPECT_FALSE(good->matches.empty());
   server.Stop();
 }
 

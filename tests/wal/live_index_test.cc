@@ -1,6 +1,8 @@
 #include "wal/live_index.h"
 
+#include <cfloat>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -270,32 +272,64 @@ TEST_F(LiveIndexTest, BackgroundMergeTriggersAtThreshold) {
   ExpectMatchesOffline(**live, {0, 1, 2, 3, 4}, q, "after auto merge");
 }
 
-TEST_F(LiveIndexTest, ResultCacheIsInvalidatedByMutations) {
-  std::string dir = FreshDir("live_cache");
+// A non-finite pixel is refused before it is WAL-logged, so it can never
+// be replayed into a directory that then fails to open.
+TEST_F(LiveIndexTest, NonFiniteInsertIsRejectedAndDirectoryReopens) {
+  std::string dir = FreshDir("live_nonfinite");
   std::unique_ptr<WalrusIndex> seed = BuildOffline({0, 1, 2});
   LiveIndex::Options options;
-  options.cache_capacity = 8;
+  options.num_shards = 2;
   options.merge_threshold = 0;
-  auto live = LiveIndex::Open(dir, TestParams(), options, seed.get());
-  ASSERT_TRUE(live.ok()) << live.status();
-
+  {
+    auto live = LiveIndex::Open(dir, TestParams(), options, seed.get());
+    ASSERT_TRUE(live.ok()) << live.status();
+    uint64_t id = 100;
+    for (float bad : {std::numeric_limits<float>::quiet_NaN(),
+                      std::numeric_limits<float>::infinity(),
+                      -std::numeric_limits<float>::infinity()}) {
+      ImageF image = dataset_[3].image;
+      image.Plane(0)[20 * 64 + 33] = bad;
+      EXPECT_EQ((*live)->InsertImage(id++, "bad", image).code(),
+                StatusCode::kInvalidArgument)
+          << bad;
+    }
+    EXPECT_EQ((*live)->IngestStatsSnapshot().wal_records, 0u);
+    ASSERT_TRUE((*live)->InsertImage(4, "img", dataset_[4].image).ok());
+  }
+  auto reopened = LiveIndex::Open(dir, TestParams(), options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ((*reopened)->ImageCount(), 4u);
   QueryOptions q;
   q.epsilon = 0.09f;
-  QueryStats stats;
-  ASSERT_TRUE((*live)->RunQuery(dataset_[0].image, q, &stats).ok());
-  EXPECT_FALSE(stats.result_cache_hit);
-  ASSERT_TRUE((*live)->RunQuery(dataset_[0].image, q, &stats).ok());
-  EXPECT_TRUE(stats.result_cache_hit);
+  ExpectMatchesOffline(**reopened, {0, 1, 2, 4}, q, "after rejected inserts");
+}
 
-  // The mutation wipes the cache; the next query recomputes against the
-  // new live set and must see the inserted image.
-  ASSERT_TRUE((*live)->InsertImage(0xB0, "img", dataset_[0].image).ok());
-  auto matches = (*live)->RunQuery(dataset_[0].image, q, &stats);
-  ASSERT_TRUE(matches.ok());
-  EXPECT_FALSE(stats.result_cache_hit);
-  bool found = false;
-  for (const QueryMatch& m : *matches) found |= m.image_id == 0xB0;
-  EXPECT_TRUE(found) << "post-insert query missed the new image";
+TEST_F(LiveIndexTest, HugeFiniteInsertDoesNotAbortAndDirectoryReopens) {
+  std::string dir = FreshDir("live_flt_max");
+  LiveIndex::Options options;
+  options.merge_threshold = 0;
+  {
+    auto live = LiveIndex::Open(dir, TestParams(), options);
+    ASSERT_TRUE(live.ok()) << live.status();
+    ImageF image = dataset_[5].image;
+    image.Plane(1)[7 * 64 + 7] = FLT_MAX;
+    Status inserted = (*live)->InsertImage(5, "huge", image);
+    EXPECT_TRUE(inserted.ok() ||
+                inserted.code() == StatusCode::kInvalidArgument)
+        << inserted;
+    ASSERT_TRUE((*live)->InsertImage(6, "img", dataset_[6].image).ok());
+  }
+  // Replay of whatever the WAL acknowledged must succeed...
+  {
+    auto reopened = LiveIndex::Open(dir, TestParams(), options);
+    ASSERT_TRUE(reopened.ok()) << reopened.status();
+    EXPECT_TRUE((*reopened)->ContainsImage(6));
+    // ...and so must a merge of it into a base generation.
+    ASSERT_TRUE((*reopened)->Merge().ok());
+  }
+  auto merged = LiveIndex::Open(dir, TestParams(), options);
+  ASSERT_TRUE(merged.ok()) << merged.status();
+  EXPECT_TRUE((*merged)->ContainsImage(6));
 }
 
 TEST_F(LiveIndexTest, ManifestRoundTripAndCorruptionDetection) {
