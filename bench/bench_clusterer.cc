@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <vector>
 
+#include "bench_json.h"
 #include "common/timer.h"
 #include "core/index.h"
 #include "core/query.h"
@@ -14,18 +15,11 @@
 #include "eval/metrics.h"
 #include "image/dataset.h"
 
-namespace {
-
-int EnvInt(const char* name, int fallback) {
-  const char* value = std::getenv(name);
-  return value != nullptr ? std::atoi(value) : fallback;
-}
-
-}  // namespace
-
 int main() {
-  const int num_images = EnvInt("WALRUS_BENCH_CLUSTERER_IMAGES", 72);
-  const int num_queries = EnvInt("WALRUS_BENCH_CLUSTERER_QUERIES", 18);
+  const int num_images =
+      walrus::bench::EnvInt("WALRUS_BENCH_CLUSTERER_IMAGES", 72);
+  const int num_queries =
+      walrus::bench::EnvInt("WALRUS_BENCH_CLUSTERER_QUERIES", 18);
   walrus::DatasetParams dp;
   dp.num_images = num_images;
   dp.width = 96;

@@ -8,17 +8,13 @@
 #include <string>
 #include <vector>
 
+#include "bench_json.h"
 #include "common/timer.h"
 #include "core/index.h"
 #include "core/query.h"
 #include "image/dataset.h"
 
 namespace {
-
-int EnvInt(const char* name, int fallback) {
-  const char* value = std::getenv(name);
-  return value != nullptr ? std::atoi(value) : fallback;
-}
 
 double AverageQuerySeconds(const walrus::WalrusIndex& index,
                            const std::vector<walrus::LabeledImage>& dataset,
@@ -39,8 +35,9 @@ double AverageQuerySeconds(const walrus::WalrusIndex& index,
 }  // namespace
 
 int main() {
-  const int num_images = EnvInt("WALRUS_BENCH_DISK_IMAGES", 300);
-  const int num_queries = EnvInt("WALRUS_BENCH_DISK_QUERIES", 10);
+  const int num_images = walrus::bench::EnvInt("WALRUS_BENCH_DISK_IMAGES", 300);
+  const int num_queries =
+      walrus::bench::EnvInt("WALRUS_BENCH_DISK_QUERIES", 10);
   walrus::DatasetParams dp;
   dp.num_images = num_images;
   dp.width = 128;

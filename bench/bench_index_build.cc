@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <vector>
 
+#include "bench_json.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/index.h"
@@ -15,11 +16,6 @@
 #include "image/dataset.h"
 
 namespace {
-
-int EnvInt(const char* name, int fallback) {
-  const char* value = std::getenv(name);
-  return value != nullptr ? std::atoi(value) : fallback;
-}
 
 walrus::WalrusParams Params() {
   walrus::WalrusParams p;
@@ -32,7 +28,8 @@ walrus::WalrusParams Params() {
 }  // namespace
 
 int main() {
-  const int num_images = EnvInt("WALRUS_BENCH_BUILD_IMAGES", 200);
+  const int num_images =
+      walrus::bench::EnvInt("WALRUS_BENCH_BUILD_IMAGES", 200);
   walrus::DatasetParams dp;
   dp.num_images = num_images;
   dp.width = 128;

@@ -31,11 +31,6 @@
 
 namespace {
 
-int EnvInt(const char* name, int fallback) {
-  const char* value = std::getenv(name);
-  return value != nullptr ? std::atoi(value) : fallback;
-}
-
 double Quantile(std::vector<double>* values, double q) {
   if (values->empty()) return 0.0;
   std::sort(values->begin(), values->end());
@@ -195,8 +190,10 @@ LatencyResult RunQueries(const walrus::LiveIndex& live,
 }  // namespace
 
 int main() {
-  const int num_images = EnvInt("WALRUS_BENCH_INGEST_IMAGES", 160);
-  const int num_queries = EnvInt("WALRUS_BENCH_INGEST_QUERIES", 48);
+  const int num_images =
+      walrus::bench::EnvInt("WALRUS_BENCH_INGEST_IMAGES", 160);
+  const int num_queries =
+      walrus::bench::EnvInt("WALRUS_BENCH_INGEST_QUERIES", 48);
 
   walrus::DatasetParams dp;
   dp.num_images = num_images;

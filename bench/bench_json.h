@@ -21,6 +21,13 @@
 namespace walrus {
 namespace bench {
 
+/// Integer workload knob read from the environment variable `name`;
+/// `fallback` when it is unset.
+inline int EnvInt(const char* name, int fallback) {
+  const char* value = std::getenv(name);
+  return value != nullptr ? std::atoi(value) : fallback;
+}
+
 /// Flat JSON object rendered as insertion-ordered key/value pairs.
 class JsonObject {
  public:

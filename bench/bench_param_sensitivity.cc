@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <vector>
 
+#include "bench_json.h"
 #include "common/timer.h"
 #include "core/index.h"
 #include "core/query.h"
@@ -18,11 +19,6 @@
 #include "image/dataset.h"
 
 namespace {
-
-int EnvInt(const char* name, int fallback) {
-  const char* value = std::getenv(name);
-  return value != nullptr ? std::atoi(value) : fallback;
-}
 
 struct Config {
   const char* label;
@@ -34,8 +30,9 @@ struct Config {
 }  // namespace
 
 int main() {
-  const int num_images = EnvInt("WALRUS_BENCH_SENS_IMAGES", 72);
-  const int num_queries = EnvInt("WALRUS_BENCH_SENS_QUERIES", 18);
+  const int num_images = walrus::bench::EnvInt("WALRUS_BENCH_SENS_IMAGES", 72);
+  const int num_queries =
+      walrus::bench::EnvInt("WALRUS_BENCH_SENS_QUERIES", 18);
   walrus::DatasetParams dp;
   dp.num_images = num_images;
   dp.width = 96;

@@ -12,13 +12,9 @@
 // epsilon; the paper measured 5.2s..19.9s, 15..891 avg regions and 65..1287
 // distinct images over epsilon in {0.05..0.09} on a 10,000-image database.
 //
-// Beyond the paper table, every row now carries the per-stage breakdown
-// (extract / probe / filter / match / rank seconds) and the run writes two
-// JSON reports:
-//   BENCH_prefilter.json      Table 1 per-stage rows + a signature-prefilter
-//                             on/off A/B sweep at the default epsilon
-//                             (DESIGN.md section 16 acceptance numbers:
-//                             match-stage speedup and candidate reduction).
+// Beyond the paper table, every row carries the per-stage breakdown
+// (extract / probe / match / rank seconds), and the run writes one JSON
+// report:
 //   BENCH_batched_probe.json  batched+SIMD vs scalar per-region probe A/B.
 
 #include <cstdio>
@@ -34,55 +30,8 @@
 #include "core/region_extractor.h"
 #include "image/dataset.h"
 
-namespace {
-
-int EnvInt(const char* name, int fallback) {
-  const char* value = std::getenv(name);
-  return value != nullptr ? std::atoi(value) : fallback;
-}
-
-/// Per-stage accumulator over a batch of queries (the disjoint stage
-/// timers from QueryStats, core/query.h).
-struct StageTotals {
-  double extract = 0.0;
-  double probe = 0.0;
-  double filter = 0.0;
-  double match = 0.0;
-  double rank = 0.0;
-  double total = 0.0;
-  int64_t prefilter_in = 0;
-  int64_t prefilter_pruned = 0;
-  int64_t prefilter_out = 0;
-
-  void Add(const walrus::QueryStats& stats) {
-    extract += stats.extract_seconds;
-    probe += stats.probe_seconds;
-    filter += stats.filter_seconds;
-    match += stats.match_seconds;
-    rank += stats.rank_seconds;
-    total += stats.seconds;
-    prefilter_in += stats.prefilter_candidates_in;
-    prefilter_pruned += stats.prefilter_pruned;
-    prefilter_out += stats.prefilter_candidates_out;
-  }
-
-  walrus::bench::JsonObject& FillRow(walrus::bench::JsonObject& row) const {
-    return row.Set("extract_seconds", extract)
-        .Set("probe_seconds", probe)
-        .Set("filter_seconds", filter)
-        .Set("match_seconds", match)
-        .Set("rank_seconds", rank)
-        .Set("total_seconds", total)
-        .Set("prefilter_candidates_in", prefilter_in)
-        .Set("prefilter_pruned", prefilter_pruned)
-        .Set("prefilter_candidates_out", prefilter_out);
-  }
-};
-
-}  // namespace
-
 int main() {
-  const int num_images = EnvInt("WALRUS_BENCH_IMAGES", 1000);
+  const int num_images = walrus::bench::EnvInt("WALRUS_BENCH_IMAGES", 1000);
 
   walrus::DatasetParams dp;
   dp.num_images = num_images;
@@ -115,21 +64,13 @@ int main() {
               index.ImageCount(), index.RegionCount(),
               build_timer.ElapsedSeconds());
 
-  walrus::bench::BenchReport prefilter_report("prefilter");
-  prefilter_report.params()
-      .Set("images", static_cast<int64_t>(index.ImageCount()))
-      .Set("regions", static_cast<int64_t>(index.RegionCount()))
-      .Set("width", dp.width)
-      .Set("height", dp.height)
-      .Set("max_isa", walrus::simd::IsaName(walrus::simd::MaxSupportedIsa()));
-
   // The paper queries with its flower image (Figure 8a); we use a fixed
   // scene from the dataset as the query.
   const walrus::ImageF& query = dataset[0].image;
 
-  std::printf("%-8s %-12s %-9s %-9s %-9s %-9s %-9s %-22s %-15s\n", "epsilon",
-              "response_s", "extract_s", "probe_s", "filter_s", "match_s",
-              "rank_s", "avg_regions_retrieved", "distinct_images");
+  std::printf("%-8s %-12s %-9s %-9s %-9s %-9s %-22s %-15s\n", "epsilon",
+              "response_s", "extract_s", "probe_s", "match_s", "rank_s",
+              "avg_regions_retrieved", "distinct_images");
   double prev_images = -1.0;
   bool monotone = true;
   for (double eps : {0.05, 0.06, 0.07, 0.08, 0.09}) {
@@ -143,19 +84,10 @@ int main() {
                    matches.status().ToString().c_str());
       return 1;
     }
-    std::printf("%-8.2f %-12.4f %-9.4f %-9.4f %-9.4f %-9.4f %-9.4f %-22.1f "
-                "%-15d\n",
+    std::printf("%-8.2f %-12.4f %-9.4f %-9.4f %-9.4f %-9.4f %-22.1f %-15d\n",
                 eps, stats.seconds, stats.extract_seconds,
-                stats.probe_seconds, stats.filter_seconds,
-                stats.match_seconds, stats.rank_seconds,
+                stats.probe_seconds, stats.match_seconds, stats.rank_seconds,
                 stats.avg_regions_per_query_region, stats.distinct_images);
-    StageTotals stages;
-    stages.Add(stats);
-    walrus::bench::JsonObject& row = prefilter_report.AddRow();
-    row.Set("kind", "table1").Set("epsilon", eps);
-    stages.FillRow(row)
-        .Set("avg_regions_retrieved", stats.avg_regions_per_query_region)
-        .Set("distinct_images", stats.distinct_images);
     if (stats.distinct_images < prev_images) monotone = false;
     prev_images = stats.distinct_images;
   }
@@ -163,70 +95,8 @@ int main() {
       "# paper shape check: all columns grow with epsilon -- %s\n",
       monotone ? "HOLDS" : "VIOLATED");
 
-  // A/B: the binary-signature prefilter tier (DESIGN.md section 16) on vs
-  // off, at the paper's default epsilon. Rankings are bit-identical either
-  // way (admissible lower bound); what moves is the exact-verification
-  // volume (candidate reduction) and the match stage, which with the tier
-  // on materializes only the target regions the matcher reads.
-  std::printf("\n# A/B: signature prefilter on vs off (epsilon=%.3f)\n",
-              static_cast<double>(walrus::QueryOptions{}.epsilon));
   const int num_queries = 8;
-  const int repetitions = EnvInt("WALRUS_BENCH_REPS", 15);
-  prefilter_report.params()
-      .Set("epsilon", static_cast<double>(walrus::QueryOptions{}.epsilon))
-      .Set("queries", num_queries)
-      .Set("repetitions", repetitions);
-
-  std::printf("%-16s %-9s %-9s %-9s %-9s %-9s %-13s %-13s\n", "config",
-              "extract_s", "probe_s", "filter_s", "match_s", "rank_s",
-              "candidates_in", "verified_out");
-  StageTotals ab[2];
-  for (int on = 0; on < 2; ++on) {
-    for (int rep = 0; rep < repetitions; ++rep) {
-      for (int qi = 0; qi < num_queries; ++qi) {
-        walrus::QueryOptions options;  // default epsilon
-        options.signature_prefilter = on == 1;
-        walrus::QueryStats stats;
-        walrus::Result<std::vector<walrus::QueryMatch>> matches =
-            walrus::ExecuteQuery(
-                index, dataset[qi % dataset.size()].image, options, &stats);
-        if (!matches.ok()) {
-          std::fprintf(stderr, "prefilter A/B query failed: %s\n",
-                       matches.status().ToString().c_str());
-          return 1;
-        }
-        ab[on].Add(stats);
-      }
-    }
-    const char* name = on == 1 ? "prefilter_on" : "prefilter_off";
-    std::printf("%-16s %-9.4f %-9.4f %-9.4f %-9.4f %-9.4f %-13lld %-13lld\n",
-                name, ab[on].extract, ab[on].probe, ab[on].filter,
-                ab[on].match, ab[on].rank,
-                static_cast<long long>(ab[on].prefilter_in),
-                static_cast<long long>(ab[on].prefilter_out));
-    walrus::bench::JsonObject& row = prefilter_report.AddRow();
-    row.Set("kind", "ab").Set("config", name);
-    ab[on].FillRow(row);
-  }
-  // Acceptance numbers: with the tier off the matcher exact-verifies every
-  // envelope hit, so candidates_in(on) / candidates_out(on) is the
-  // exact-distance workload reduction; the match-stage speedup comes from
-  // sparse target materialization.
-  const double match_speedup =
-      ab[1].match > 0.0 ? ab[0].match / ab[1].match : 0.0;
-  const double candidate_reduction =
-      ab[1].prefilter_out > 0
-          ? static_cast<double>(ab[1].prefilter_in) /
-                static_cast<double>(ab[1].prefilter_out)
-          : 0.0;
-  prefilter_report.params()
-      .Set("match_stage_speedup", match_speedup)
-      .Set("candidate_reduction", candidate_reduction);
-  std::printf("# match-stage speedup (prefilter on over off): %.2fx\n",
-              match_speedup);
-  std::printf("# exact-verification candidate reduction: %.2fx\n",
-              candidate_reduction);
-  prefilter_report.WriteFile();
+  const int repetitions = walrus::bench::EnvInt("WALRUS_BENCH_REPS", 15);
 
   // A/B: probe-stage throughput of the vectorized batched multi-probe path
   // (native ISA + RangeQueryBatch) against the historical per-region scalar

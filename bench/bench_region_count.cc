@@ -10,15 +10,11 @@
 #include <cstdlib>
 #include <vector>
 
+#include "bench_json.h"
 #include "core/region_extractor.h"
 #include "image/dataset.h"
 
 namespace {
-
-int EnvInt(const char* name, int fallback) {
-  const char* value = std::getenv(name);
-  return value != nullptr ? std::atoi(value) : fallback;
-}
 
 double AverageRegions(const std::vector<walrus::LabeledImage>& images,
                       walrus::ColorSpace cs, double epsilon_c) {
@@ -43,7 +39,8 @@ double AverageRegions(const std::vector<walrus::LabeledImage>& images,
 }  // namespace
 
 int main() {
-  const int num_images = EnvInt("WALRUS_BENCH_REGION_IMAGES", 24);
+  const int num_images =
+      walrus::bench::EnvInt("WALRUS_BENCH_REGION_IMAGES", 24);
   walrus::DatasetParams dp;
   dp.num_images = num_images;
   dp.width = 128;

@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <vector>
 
+#include "bench_json.h"
 #include "baselines/color_histogram.h"
 #include "baselines/jfs.h"
 #include "baselines/wbiis.h"
@@ -25,11 +26,6 @@
 #include "image/dataset.h"
 
 namespace {
-
-int EnvInt(const char* name, int fallback) {
-  const char* value = std::getenv(name);
-  return value != nullptr ? std::atoi(value) : fallback;
-}
 
 struct SystemScores {
   std::vector<double> p5;
@@ -54,8 +50,10 @@ void Print(const char* name, const SystemScores& scores) {
 }  // namespace
 
 int main() {
-  const int num_images = EnvInt("WALRUS_BENCH_QUALITY_IMAGES", 120);
-  const int num_queries = EnvInt("WALRUS_BENCH_QUALITY_QUERIES", 24);
+  const int num_images =
+      walrus::bench::EnvInt("WALRUS_BENCH_QUALITY_IMAGES", 120);
+  const int num_queries =
+      walrus::bench::EnvInt("WALRUS_BENCH_QUALITY_QUERIES", 24);
 
   walrus::DatasetParams dp;
   dp.num_images = num_images;

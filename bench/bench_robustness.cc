@@ -14,6 +14,7 @@
 #include <functional>
 #include <vector>
 
+#include "bench_json.h"
 #include "core/index.h"
 #include "core/query.h"
 #include "eval/metrics.h"
@@ -23,11 +24,6 @@
 
 namespace {
 
-int EnvInt(const char* name, int fallback) {
-  const char* value = std::getenv(name);
-  return value != nullptr ? std::atoi(value) : fallback;
-}
-
 struct Perturbation {
   const char* name;
   std::function<walrus::ImageF(const walrus::ImageF&, walrus::Rng*)> apply;
@@ -36,7 +32,8 @@ struct Perturbation {
 }  // namespace
 
 int main() {
-  const int num_images = EnvInt("WALRUS_BENCH_ROBUST_IMAGES", 24);
+  const int num_images =
+      walrus::bench::EnvInt("WALRUS_BENCH_ROBUST_IMAGES", 24);
   walrus::DatasetParams dp;
   dp.num_images = num_images;
   dp.width = 96;

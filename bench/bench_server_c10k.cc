@@ -46,11 +46,6 @@
 
 namespace {
 
-int EnvInt(const char* name, int fallback) {
-  const char* value = std::getenv(name);
-  return value != nullptr ? std::atoi(value) : fallback;
-}
-
 std::vector<int> EnvIntList(const char* name,
                             const std::vector<int>& fallback) {
   const char* value = std::getenv(name);
@@ -106,10 +101,11 @@ rlim_t RaiseFdLimit() {
 }  // namespace
 
 int main() {
-  const int num_images = EnvInt("WALRUS_BENCH_C10K_IMAGES", 60);
-  const int depth = EnvInt("WALRUS_BENCH_C10K_DEPTH", 4);
-  const int rounds = EnvInt("WALRUS_BENCH_C10K_ROUNDS", 2);
-  const int idle_requested = EnvInt("WALRUS_BENCH_C10K_IDLE", 10000);
+  const int num_images = walrus::bench::EnvInt("WALRUS_BENCH_C10K_IMAGES", 60);
+  const int depth = walrus::bench::EnvInt("WALRUS_BENCH_C10K_DEPTH", 4);
+  const int rounds = walrus::bench::EnvInt("WALRUS_BENCH_C10K_ROUNDS", 2);
+  const int idle_requested =
+      walrus::bench::EnvInt("WALRUS_BENCH_C10K_IDLE", 10000);
   const std::vector<int> client_sweep =
       EnvIntList("WALRUS_BENCH_C10K_CLIENTS", {64, 256, 1024});
   const int max_active =

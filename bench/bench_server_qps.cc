@@ -33,11 +33,6 @@
 
 namespace {
 
-int EnvInt(const char* name, int fallback) {
-  const char* value = std::getenv(name);
-  return value != nullptr ? std::atoi(value) : fallback;
-}
-
 double Quantile(std::vector<double>* values, double q) {
   if (values->empty()) return 0.0;
   std::sort(values->begin(), values->end());
@@ -113,8 +108,10 @@ RunResult RunLoad(const walrus::QueryEngine& engine,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int num_images = EnvInt("WALRUS_BENCH_SERVER_IMAGES", 200);
-  const int queries_per_client = EnvInt("WALRUS_BENCH_SERVER_QUERIES", 20);
+  const int num_images =
+      walrus::bench::EnvInt("WALRUS_BENCH_SERVER_IMAGES", 200);
+  const int queries_per_client =
+      walrus::bench::EnvInt("WALRUS_BENCH_SERVER_QUERIES", 20);
   // Sharding pays off when probe+match dominate; the sharded sweep uses a
   // wider envelope than the backend sweep to model the selective-but-heavy
   // regime (more candidates per probe).

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <vector>
 
+#include "bench_json.h"
 #include "common/timer.h"
 #include "core/index.h"
 #include "core/query.h"
@@ -17,11 +18,6 @@
 #include "image/dataset.h"
 
 namespace {
-
-int EnvInt(const char* name, int fallback) {
-  const char* value = std::getenv(name);
-  return value != nullptr ? std::atoi(value) : fallback;
-}
 
 struct KindReport {
   double build_sec = 0.0;
@@ -79,8 +75,9 @@ KindReport Evaluate(walrus::RegionSignatureKind kind,
 }  // namespace
 
 int main() {
-  const int num_images = EnvInt("WALRUS_BENCH_KIND_IMAGES", 90);
-  const int num_queries = EnvInt("WALRUS_BENCH_KIND_QUERIES", 18);
+  const int num_images = walrus::bench::EnvInt("WALRUS_BENCH_KIND_IMAGES", 90);
+  const int num_queries =
+      walrus::bench::EnvInt("WALRUS_BENCH_KIND_QUERIES", 18);
   walrus::DatasetParams dp;
   dp.num_images = num_images;
   dp.width = 96;

@@ -123,16 +123,6 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(stats->ingest.wal_synced_lsn),
           static_cast<unsigned long long>(stats->ingest.wal_file_bytes));
     }
-    if (stats->prefilter_candidates_in > 0) {
-      std::printf(
-          "prefilter    %llu candidates in, %llu pruned, %llu verified out "
-          "(%.1f%% pruned)\n",
-          static_cast<unsigned long long>(stats->prefilter_candidates_in),
-          static_cast<unsigned long long>(stats->prefilter_pruned),
-          static_cast<unsigned long long>(stats->prefilter_candidates_out),
-          100.0 * static_cast<double>(stats->prefilter_pruned) /
-              static_cast<double>(stats->prefilter_candidates_in));
-    }
     return 0;
   }
 

@@ -28,15 +28,6 @@ BEGIN_MARK = "<!-- bench_report:begin (generated by scripts/bench_report.py) -->
 END_MARK = "<!-- bench_report:end -->"
 
 
-def headline_prefilter(report):
-    p = report["params"]
-    return (
-        f"{p['match_stage_speedup']:.2f}x match-stage speedup, "
-        f"{p['candidate_reduction']:.2f}x exact-verification candidate "
-        f"reduction at eps={p['epsilon']:.3f}"
-    )
-
-
 def headline_batched_probe(report):
     p = report["params"]
     return (
@@ -80,15 +71,6 @@ def workload_simd(report):
 # Keys are a *floor*: extra keys are fine (rows may grow fields), missing
 # ones are drift.
 SCHEMAS = {
-    "prefilter": (
-        {"images", "regions", "epsilon", "queries", "repetitions",
-         "match_stage_speedup", "candidate_reduction"},
-        {"kind", "extract_seconds", "probe_seconds", "filter_seconds",
-         "match_seconds", "rank_seconds", "total_seconds",
-         "prefilter_candidates_in", "prefilter_candidates_out"},
-        workload_images,
-        headline_prefilter,
-    ),
     "batched_probe": (
         {"images", "regions", "epsilon", "max_isa", "probe_stage_speedup"},
         {"config", "batched", "isa", "probe_seconds", "probes_per_second",

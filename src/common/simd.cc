@@ -163,36 +163,6 @@ void HaarBase2x2(const float* row0, const float* row1, int count,
   }
 }
 
-uint32_t Popcount64(uint64_t x) {
-  return static_cast<uint32_t>(__builtin_popcountll(x));
-}
-
-void BatchHamming(const uint64_t* words, int stride, int words_per_sig,
-                  int count, const uint64_t* q, uint32_t* out) {
-  for (int e = 0; e < count; ++e) {
-    uint32_t acc = 0;
-    for (int w = 0; w < words_per_sig; ++w) {
-      acc += static_cast<uint32_t>(
-          __builtin_popcountll(words[w * stride + e] ^ q[w]));
-    }
-    out[e] = acc;
-  }
-}
-
-void BatchSignatureLb(const uint64_t* words, int stride, int words_per_sig,
-                      int count, const uint64_t* q, uint32_t* out) {
-  for (int e = 0; e < count; ++e) {
-    uint32_t acc = 0;
-    for (int w = 0; w < words_per_sig; ++w) {
-      const uint32_t h = static_cast<uint32_t>(
-          __builtin_popcountll(words[w * stride + e] ^ q[w]));
-      const uint32_t b = h > 1 ? h - 1 : 0;
-      acc += b * b;
-    }
-    out[e] = acc;
-  }
-}
-
 }  // namespace scalar
 
 #if WALRUS_SIMD_X86
@@ -657,81 +627,6 @@ __attribute__((target("avx2"))) void BatchIntersects(
   }
 }
 
-// Nibble-LUT popcount (pshufb) over four 64-bit lanes: per-byte counts via
-// two 16-entry table lookups, folded to one count per 64-bit lane by
-// _mm256_sad_epu8. Integer throughout, so lane assignment and accumulation
-// order cannot change results. POPCNT is implied by every AVX2 CPU
-// (x86-64-v3), so the avx2 dispatch check covers the scalar-tail popcnt too.
-__attribute__((target("avx2,popcnt"))) static inline __m256i PopcountPerU64(
-    __m256i v) {
-  const __m256i lut = _mm256_setr_epi8(
-      0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
-      0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
-  const __m256i low = _mm256_set1_epi8(0x0f);
-  const __m256i lo = _mm256_and_si256(v, low);
-  const __m256i hi = _mm256_and_si256(_mm256_srli_epi16(v, 4), low);
-  const __m256i cnt8 = _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo),
-                                       _mm256_shuffle_epi8(lut, hi));
-  return _mm256_sad_epu8(cnt8, _mm256_setzero_si256());
-}
-
-__attribute__((target("popcnt"))) uint32_t Popcount64(uint64_t x) {
-  return static_cast<uint32_t>(__builtin_popcountll(x));
-}
-
-__attribute__((target("avx2,popcnt"))) void BatchHamming(
-    const uint64_t* words, int stride, int words_per_sig, int count,
-    const uint64_t* q, uint32_t* out) {
-  int e = 0;
-  for (; e + 4 <= count; e += 4) {
-    __m256i acc = _mm256_setzero_si256();
-    for (int w = 0; w < words_per_sig; ++w) {
-      const __m256i v = _mm256_xor_si256(
-          _mm256_loadu_si256(
-              reinterpret_cast<const __m256i*>(words + w * stride + e)),
-          _mm256_set1_epi64x(static_cast<long long>(q[w])));
-      acc = _mm256_add_epi64(acc, PopcountPerU64(v));
-    }
-    alignas(32) uint64_t lanes[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-    for (int j = 0; j < 4; ++j) out[e + j] = static_cast<uint32_t>(lanes[j]);
-  }
-  if (e < count) {
-    scalar::BatchHamming(words + e, stride, words_per_sig, count - e, q,
-                         out + e);
-  }
-}
-
-__attribute__((target("avx2,popcnt"))) void BatchSignatureLb(
-    const uint64_t* words, int stride, int words_per_sig, int count,
-    const uint64_t* q, uint32_t* out) {
-  const __m256i one = _mm256_set1_epi64x(1);
-  const __m256i zero = _mm256_setzero_si256();
-  int e = 0;
-  for (; e + 4 <= count; e += 4) {
-    __m256i acc = zero;
-    for (int w = 0; w < words_per_sig; ++w) {
-      const __m256i v = _mm256_xor_si256(
-          _mm256_loadu_si256(
-              reinterpret_cast<const __m256i*>(words + w * stride + e)),
-          _mm256_set1_epi64x(static_cast<long long>(q[w])));
-      const __m256i h = PopcountPerU64(v);
-      // b = max(h - 1, 0): subtract one, mask to zero where h == 0.
-      const __m256i b = _mm256_and_si256(_mm256_sub_epi64(h, one),
-                                         _mm256_cmpgt_epi64(h, zero));
-      // b <= 64 fits the low 32 bits of each lane, so mul_epu32 is b^2.
-      acc = _mm256_add_epi64(acc, _mm256_mul_epu32(b, b));
-    }
-    alignas(32) uint64_t lanes[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-    for (int j = 0; j < 4; ++j) out[e + j] = static_cast<uint32_t>(lanes[j]);
-  }
-  if (e < count) {
-    scalar::BatchSignatureLb(words + e, stride, words_per_sig, count - e, q,
-                             out + e);
-  }
-}
-
 }  // namespace avx2
 
 #endif  // WALRUS_SIMD_X86
@@ -751,9 +646,6 @@ constexpr KernelTable kScalarTable = {
     scalar::BatchSquaredL2,
     scalar::BatchIntersects,
     scalar::HaarBase2x2,
-    scalar::Popcount64,
-    scalar::BatchHamming,
-    scalar::BatchSignatureLb,
 };
 
 #if WALRUS_SIMD_X86
@@ -773,11 +665,6 @@ constexpr KernelTable kSse2Table = {
     sse2::BatchSquaredL2,
     sse2::BatchIntersects,
     sse2::HaarBase2x2,
-    // Pre-SSSE3 x86 has neither a vector popcount nor the pshufb nibble
-    // LUT, so the Hamming kernels stay on the scalar reference at SSE2.
-    scalar::Popcount64,
-    scalar::BatchHamming,
-    scalar::BatchSignatureLb,
 };
 
 // AVX2 has no wider Haar butterfly: the 4-window SSE2 shuffle/transpose
@@ -795,9 +682,6 @@ constexpr KernelTable kAvx2Table = {
     avx2::BatchSquaredL2,
     avx2::BatchIntersects,
     sse2::HaarBase2x2,
-    avx2::Popcount64,
-    avx2::BatchHamming,
-    avx2::BatchSignatureLb,
 };
 #endif  // WALRUS_SIMD_X86
 

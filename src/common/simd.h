@@ -128,28 +128,6 @@ struct KernelTable {
   /// operation order of ComputeSingleWindow's base case.
   void (*haar_base_2x2)(const float* row0, const float* row1, int count,
                         float* out);
-
-  /// Population count of one 64-bit word (the signature filter's scalar
-  /// building block). Integer; trivially exact at every level.
-  uint32_t (*popcount64)(uint64_t x);
-
-  /// out[e] = total Hamming distance between signature e of the SoA word
-  /// block and q: sum over w < words_per_sig of
-  /// popcount(words[w * stride + e] ^ q[w]). Word plane w starts at
-  /// `words + w * stride` and holds `count` contiguous u64s (stride >=
-  /// count; see PackedBitSignatures in core/packed_store.h). Integer
-  /// accumulation: exact in any evaluation order.
-  void (*batch_hamming)(const uint64_t* words, int stride, int words_per_sig,
-                        int count, const uint64_t* q, uint32_t* out);
-
-  /// out[e] = sum over w of max(0, popcount(words[w * stride + e] ^ q[w])
-  /// - 1)^2 -- the integer accumulator of the thermometer-code lower bound
-  /// (core/signature_filter.h, DESIGN.md section 16), where each 64-bit
-  /// word is one quantized dimension so the per-word Hamming distance IS
-  /// that dimension's level distance. Exact at every level.
-  void (*batch_signature_lb)(const uint64_t* words, int stride,
-                             int words_per_sig, int count, const uint64_t* q,
-                             uint32_t* out);
 };
 
 /// Kernels for a specific level (level must be <= MaxSupportedIsa()).

@@ -1,6 +1,7 @@
 #include "core/index.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <memory>
 #include <unordered_map>
@@ -22,6 +23,74 @@ void DecodeRegionPayload(uint64_t payload, uint64_t* image_id,
                          uint32_t* region_id) {
   *image_id = payload >> 16;
   *region_id = static_cast<uint32_t>(payload & 0xffff);
+}
+
+namespace {
+
+bool AllFinite(const std::vector<float>& values) {
+  return std::all_of(values.begin(), values.end(),
+                     [](float v) { return std::isfinite(v); });
+}
+
+/// A bad record on disk is damage, not a caller error: Corruption.
+Status ValidateCatalog(const Catalog& catalog, const WalrusParams& params) {
+  for (const ImageRecord& record : catalog.images()) {
+    Status status = ValidateImageRecord(record, params);
+    if (!status.ok()) return Status::Corruption("catalog: " + status.message());
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Status ValidateImageRecord(const ImageRecord& record,
+                           const WalrusParams& params) {
+  const auto invalid = [&](size_t region, const std::string& what) {
+    return Status::InvalidArgument("image " + std::to_string(record.image_id) +
+                                   " region " + std::to_string(region) + ": " +
+                                   what);
+  };
+  if (record.image_id >= (uint64_t{1} << 48)) {
+    return Status::InvalidArgument(
+        "image id " + std::to_string(record.image_id) +
+        " does not fit the 48-bit region payload");
+  }
+  const size_t dim = static_cast<size_t>(params.SignatureDim());
+  const size_t refined_dim = static_cast<size_t>(
+      params.Channels() * params.refined_signature_size *
+      params.refined_signature_size);
+  const size_t side = static_cast<size_t>(params.bitmap_side);
+  for (size_t i = 0; i < record.regions.size(); ++i) {
+    const RegionRecord& region = record.regions[i];
+    if (region.region_id != i || i >= (1u << 16)) {
+      return invalid(i, "region ids must be dense and fit 16 bits");
+    }
+    if (region.centroid.size() != dim || region.bbox_lo.size() != dim ||
+        region.bbox_hi.size() != dim) {
+      return invalid(i, "centroid/bbox length is not the signature dim " +
+                            std::to_string(dim));
+    }
+    if (!region.refined_centroid.empty() &&
+        region.refined_centroid.size() != refined_dim) {
+      return invalid(i, "refined centroid length is not " +
+                            std::to_string(refined_dim));
+    }
+    if (!AllFinite(region.centroid) || !AllFinite(region.refined_centroid) ||
+        !AllFinite(region.bbox_lo) || !AllFinite(region.bbox_hi)) {
+      return invalid(i, "non-finite signature value");
+    }
+    for (size_t d = 0; d < dim; ++d) {
+      if (region.bbox_lo[d] > region.bbox_hi[d]) {
+        return invalid(i, "inverted bbox");
+      }
+    }
+    if (region.bitmap_side != side ||
+        region.bitmap.size() != (side * side + 7) / 8) {
+      return invalid(i, "bitmap does not match bitmap_side " +
+                            std::to_string(side));
+    }
+  }
+  return Status::OK();
 }
 
 WalrusIndex::WalrusIndex(WalrusParams params)
@@ -72,25 +141,14 @@ Status WalrusIndex::AddImageRecord(ImageRecord record) {
     return Status::AlreadyExists("image id " +
                                  std::to_string(record.image_id));
   }
-  if (record.image_id >= (uint64_t{1} << 48)) {
-    return Status::InvalidArgument(
-        "image id " + std::to_string(record.image_id) +
-        " does not fit the 48-bit region payload");
-  }
+  WALRUS_RETURN_IF_ERROR(ValidateImageRecord(record, params_));
   bool use_bbox = params_.signature_kind == RegionSignatureKind::kBoundingBox;
   for (const RegionRecord& region : record.regions) {
-    if (region.region_id >= (1u << 16)) {
-      return Status::InvalidArgument(
-          "region id " + std::to_string(region.region_id) +
-          " does not fit the 16-bit region payload");
-    }
     Rect rect = use_bbox ? Rect::Bounds(region.bbox_lo, region.bbox_hi)
                          : Rect::Point(region.centroid);
     tree_.Insert(rect, EncodeRegionPayload(record.image_id, region.region_id));
   }
-  const uint64_t image_id = record.image_id;
   WALRUS_RETURN_IF_ERROR(catalog_.AddImage(std::move(record)));
-  signatures_.AddImage(*catalog_.FindImage(image_id));
   if (DeepChecksEnabled()) return ValidateConsistency();
   return Status::OK();
 }
@@ -150,7 +208,6 @@ Status WalrusIndex::AddImages(std::vector<PendingImage> images,
       record.regions.push_back(region.ToRecord());
     }
     WALRUS_RETURN_IF_ERROR(catalog_.AddImage(std::move(record)));
-    signatures_.AddImage(*catalog_.FindImage(pending.image_id));
   }
   if (bulk) {
     tree_ = RStarTree::BulkLoad(params_.SignatureDim(),
@@ -178,7 +235,6 @@ Status WalrusIndex::RemoveImage(uint64_t image_id) {
                             std::to_string(expected));
   }
   WALRUS_RETURN_IF_ERROR(catalog_.RemoveImage(image_id));
-  signatures_.RemoveImage(image_id);
   if (DeepChecksEnabled()) return ValidateConsistency();
   return Status::OK();
 }
@@ -187,11 +243,11 @@ Result<WalrusIndex> WalrusIndex::FromRecords(
     WalrusParams params, std::vector<ImageRecord> records) {
   WalrusIndex index(std::move(params));
   for (ImageRecord& record : records) {
+    WALRUS_RETURN_IF_ERROR(ValidateImageRecord(record, index.params_));
     WALRUS_RETURN_IF_ERROR(index.catalog_.AddImage(std::move(record)));
   }
   index.tree_ = RStarTree::BulkLoad(index.params_.SignatureDim(),
                                     index.CatalogEntries());
-  index.signatures_.Rebuild(index.catalog_);
   if (DeepChecksEnabled()) {
     WALRUS_RETURN_IF_ERROR(index.ValidateConsistency());
   }
@@ -319,34 +375,6 @@ std::vector<std::pair<Rect, uint64_t>> WalrusIndex::CatalogEntries() const {
 Status WalrusIndex::ValidateConsistency() const {
   WALRUS_RETURN_IF_ERROR(catalog_.Validate());
 
-  // The signature tier must shadow the catalog exactly: every region's
-  // stored thermometer words (persisted and resident) must equal the words
-  // recomputed from its centroid -- the admissibility proof assumes the
-  // signature is a pure function of the centroid the exact test reads.
-  for (const ImageRecord& record : catalog_.images()) {
-    for (const RegionRecord& region : record.regions) {
-      const std::vector<uint64_t> expected_sig =
-          ComputeSignature(region.centroid);
-      if (!region.signature.empty() && region.signature != expected_sig) {
-        return Status::Internal(
-            "index: persisted signature of image " +
-            std::to_string(record.image_id) + " region " +
-            std::to_string(region.region_id) +
-            " disagrees with its centroid quantization");
-      }
-      const uint64_t* row =
-          signatures_.SignatureRow(record.image_id, region.region_id);
-      if (row == nullptr ||
-          !std::equal(expected_sig.begin(), expected_sig.end(), row)) {
-        return Status::Internal(
-            "index: signature store row of image " +
-            std::to_string(record.image_id) + " region " +
-            std::to_string(region.region_id) +
-            " is missing or disagrees with the catalog");
-      }
-    }
-  }
-
   // Every catalog region, keyed by its packed payload. Pointers into
   // `expected` stay valid: the vector is not resized past this point.
   std::vector<std::pair<Rect, uint64_t>> expected = CatalogEntries();
@@ -436,9 +464,9 @@ Result<WalrusIndex> WalrusIndex::OpenPaged(const std::string& path_prefix) {
   }
   WALRUS_ASSIGN_OR_RETURN(Catalog catalog,
                           Catalog::LoadFromFile(path_prefix + ".catalog"));
+  WALRUS_RETURN_IF_ERROR(ValidateCatalog(catalog, params));
   WalrusIndex index(params);
   index.catalog_ = std::move(catalog);
-  index.signatures_.Rebuild(index.catalog_);
   index.disk_tree_.emplace(std::move(tree));
   return index;
 }
@@ -462,10 +490,10 @@ Result<WalrusIndex> WalrusIndex::Open(const std::string& path_prefix) {
   }
   WALRUS_ASSIGN_OR_RETURN(Catalog catalog,
                           Catalog::LoadFromFile(path_prefix + ".catalog"));
+  WALRUS_RETURN_IF_ERROR(ValidateCatalog(catalog, params));
   WalrusIndex index(params);
   index.tree_ = std::move(tree);
   index.catalog_ = std::move(catalog);
-  index.signatures_.Rebuild(index.catalog_);
   return index;
 }
 

@@ -8,7 +8,6 @@
 #include "core/params.h"
 #include "core/region.h"
 #include "core/region_extractor.h"
-#include "core/signature_filter.h"
 #include "image/image.h"
 #include "spatial/rstar_tree.h"
 #include "storage/catalog.h"
@@ -23,6 +22,18 @@ namespace walrus {
 uint64_t EncodeRegionPayload(uint64_t image_id, uint32_t region_id);
 void DecodeRegionPayload(uint64_t payload, uint64_t* image_id,
                          uint32_t* region_id);
+
+/// Checks one record against the params of the index it is about to enter:
+/// the image id fits 48 bits; region ids are dense (region i has id i,
+/// which also keeps them within 16 bits); centroid and box lengths equal
+/// params.SignatureDim(), and the refined centroid is empty or
+/// Channels() * r * r long; every centroid, refined and box float is
+/// finite with bbox_lo <= bbox_hi; bitmap_side equals params.bitmap_side
+/// and the bitmap holds exactly side * side bits. InvalidArgument names the
+/// first violation. FromRecords and AddImageRecord run it on their input;
+/// catalog load and WAL replay run it too and report Corruption instead.
+[[nodiscard]] Status ValidateImageRecord(const ImageRecord& record,
+                                         const WalrusParams& params);
 
 /// The WALRUS image database: every indexed image is decomposed into
 /// regions (section 5.3); region signatures go into an R*-tree (section
@@ -47,10 +58,6 @@ class WalrusIndex {
   /// The in-memory R*-tree. Empty when the index was opened paged
   /// (is_paged()); use ProbeRange/ProbeNearest, which dispatch correctly.
   const RStarTree& tree() const { return tree_; }
-
-  /// The binary prefilter tier (core/signature_filter.h), maintained in
-  /// lockstep with the catalog by every mutation and load path.
-  const SignatureStore& signatures() const { return signatures_; }
 
   /// True when region probes are served from the on-disk page tree.
   bool is_paged() const { return disk_tree_.has_value(); }
@@ -111,8 +118,8 @@ class WalrusIndex {
   /// the R*-tree with exactly the rect FromRecords would bulk-load for it,
   /// so an index grown by AddImageRecord answers probes identically to one
   /// rebuilt offline from the same records. AlreadyExists on a duplicate
-  /// id; InvalidArgument when an id or region id overflows the packed
-  /// payload; Unimplemented on a paged (read-only) index.
+  /// id; InvalidArgument when ValidateImageRecord rejects the record;
+  /// Unimplemented on a paged (read-only) index.
   [[nodiscard]] Status AddImageRecord(ImageRecord record);
 
   /// One image of a batch insert.
@@ -133,7 +140,8 @@ class WalrusIndex {
   /// STR-bulk-loading the tree from their region signatures. This is the
   /// repartitioning path: ShardedIndex::Partition slices one index's
   /// catalog by shard and rebuilds each slice without re-running region
-  /// extraction. Fails on duplicate image ids.
+  /// extraction. Fails on duplicate image ids, and with InvalidArgument
+  /// when ValidateImageRecord rejects a record.
   [[nodiscard]] static Result<WalrusIndex> FromRecords(WalrusParams params,
                                          std::vector<ImageRecord> records);
 
@@ -148,7 +156,8 @@ class WalrusIndex {
   /// `<path_prefix>.index` (params + R*-tree).
   [[nodiscard]] Status Save(const std::string& path_prefix) const;
 
-  /// Loads an index previously written by Save.
+  /// Loads an index previously written by Save. Corruption when a catalog
+  /// record fails ValidateImageRecord.
   [[nodiscard]] static Result<WalrusIndex> Open(const std::string& path_prefix);
 
   /// Persists with a disk-resident page tree instead of the serialized
@@ -160,7 +169,7 @@ class WalrusIndex {
 
   /// Opens a paged index written by SavePaged. The returned index is
   /// read-only: AddImage/RemoveImage on it fail the id checks as usual but
-  /// the page tree never changes.
+  /// the page tree never changes. Catalog records are validated as in Open.
   [[nodiscard]] static Result<WalrusIndex> OpenPaged(
       const std::string& path_prefix);
 
@@ -181,7 +190,6 @@ class WalrusIndex {
   WalrusParams params_;
   Catalog catalog_;
   RStarTree tree_;
-  SignatureStore signatures_;
   std::optional<DiskRStarTree> disk_tree_;
 };
 

@@ -4,9 +4,9 @@
 
 namespace walrus {
 
-PackedSignatureStore PackedSignatureStore::FromCentroids(
+PackedSignaturePlanes PackedSignaturePlanes::FromCentroids(
     const std::vector<Region>& regions) {
-  PackedSignatureStore store;
+  PackedSignaturePlanes store;
   store.count_ = static_cast<int>(regions.size());
   if (regions.empty()) return store;
   store.dim_ = static_cast<int>(regions[0].centroid.size());
@@ -21,23 +21,9 @@ PackedSignatureStore PackedSignatureStore::FromCentroids(
   return store;
 }
 
-void PackedBitSignatures::Reset(int count, int words_per_sig) {
-  count_ = count;
-  words_per_sig_ = words_per_sig;
-  const size_t need = static_cast<size_t>(count) * words_per_sig;
-  if (planes_.size() < need) planes_.resize(need);
-}
-
-void PackedBitSignatures::SetRow(int e, const uint64_t* row) {
-  WALRUS_CHECK(e >= 0 && e < count_);
-  for (int w = 0; w < words_per_sig_; ++w) {
-    planes_[static_cast<size_t>(w) * count_ + e] = row[w];
-  }
-}
-
-PackedSignatureStore PackedSignatureStore::FromBoundingBoxes(
+PackedSignaturePlanes PackedSignaturePlanes::FromBoundingBoxes(
     const std::vector<Region>& regions) {
-  PackedSignatureStore store;
+  PackedSignaturePlanes store;
   store.count_ = static_cast<int>(regions.size());
   if (regions.empty()) return store;
   store.dim_ = regions[0].bounding_box.dim();

@@ -13,7 +13,7 @@ namespace walrus {
 /// The natural Region layout is an array of structs -- every centroid and
 /// every Rect bound is its own heap vector, so a scan that compares one
 /// query signature against N candidate signatures chases 2N+ pointers. A
-/// PackedSignatureStore transposes one region list into dimension-major
+/// PackedSignaturePlanes transposes one region list into dimension-major
 /// planes: plane d occupies floats [d * count, (d + 1) * count), so entry e
 /// of all regions sits at offset e of each plane and a batch kernel streams
 /// lanes of adjacent entries. `stride()` equals `count()`; kernels handle
@@ -21,17 +21,17 @@ namespace walrus {
 ///
 /// Centroid packs fill only the lo planes (a centroid is a point);
 /// bounding-box packs fill lo and hi planes.
-class PackedSignatureStore {
+class PackedSignaturePlanes {
  public:
-  PackedSignatureStore() = default;
+  PackedSignaturePlanes() = default;
 
   /// Packs `regions[i].centroid` into the lo planes. All centroids must
   /// share one dimensionality.
-  static PackedSignatureStore FromCentroids(
+  static PackedSignaturePlanes FromCentroids(
       const std::vector<Region>& regions);
 
   /// Packs `regions[i].bounding_box` bounds into the lo and hi planes.
-  static PackedSignatureStore FromBoundingBoxes(
+  static PackedSignaturePlanes FromBoundingBoxes(
       const std::vector<Region>& regions);
 
   int count() const { return count_; }
@@ -50,40 +50,6 @@ class PackedSignatureStore {
   int dim_ = 0;
   std::vector<float> lo_;
   std::vector<float> hi_;
-};
-
-/// Binary region signatures re-laid as contiguous SoA 64-bit word planes
-/// for the Hamming kernels (batch_hamming / batch_signature_lb in
-/// common/simd.h): word plane w occupies u64s [w * count, (w + 1) * count),
-/// so signature e of all entries sits at offset e of each plane and the
-/// AVX2 kernel streams four adjacent entries per step. `stride()` equals
-/// `count()`; kernels handle tails internally, so no padding is stored.
-///
-/// The persistent SignatureStore (core/signature_filter.h) keeps rows AoS
-/// because the filter gathers scattered slots; this class is the per-batch
-/// transpose buffer those gathers fill. Reset() + SetRow() reuse one
-/// allocation across probe batches.
-class PackedBitSignatures {
- public:
-  PackedBitSignatures() = default;
-
-  /// Clears to `count` signatures of `words_per_sig` words each (entries
-  /// uninitialized until SetRow), growing the backing store as needed.
-  void Reset(int count, int words_per_sig);
-
-  /// Scatter row `e` (words_per_sig contiguous u64s, AoS) into the planes.
-  void SetRow(int e, const uint64_t* row);
-
-  int count() const { return count_; }
-  int words_per_sig() const { return words_per_sig_; }
-  /// Distance in u64s between consecutive word planes.
-  int stride() const { return count_; }
-  const uint64_t* planes() const { return planes_.data(); }
-
- private:
-  int count_ = 0;
-  int words_per_sig_ = 0;
-  std::vector<uint64_t> planes_;
 };
 
 }  // namespace walrus

@@ -13,7 +13,6 @@
 #include "common/trace.h"
 #include "core/query_engine.h"
 #include "core/query_pipeline.h"
-#include "core/signature_filter.h"
 
 namespace walrus {
 namespace {
@@ -33,13 +32,6 @@ struct QueryPathMetrics {
   Histogram* extract_seconds;
   Histogram* probe_seconds;
   Histogram* match_seconds;
-  /// Signature prefilter tier (DESIGN.md section 16): candidate traffic in
-  /// and out plus the Hamming-pruned count (prune ratio = pruned /
-  /// candidates_in) and the tier's wall time per query.
-  Counter* prefilter_candidates_in;
-  Counter* prefilter_pruned;
-  Counter* prefilter_candidates_out;
-  Histogram* prefilter_seconds;
 
   static const QueryPathMetrics& Get() {
     static const QueryPathMetrics metrics = [] {
@@ -58,13 +50,6 @@ struct QueryPathMetrics {
                                               QuerySecondsBuckets());
       m.match_seconds = registry.GetHistogram("walrus.query.match_seconds",
                                               QuerySecondsBuckets());
-      m.prefilter_candidates_in =
-          registry.GetCounter("walrus.prefilter.candidates_in");
-      m.prefilter_pruned = registry.GetCounter("walrus.prefilter.pruned");
-      m.prefilter_candidates_out =
-          registry.GetCounter("walrus.prefilter.candidates_out");
-      m.prefilter_seconds = registry.GetHistogram(
-          "walrus.prefilter.seconds", QuerySecondsBuckets());
       return m;
     }();
     return metrics;
@@ -165,7 +150,7 @@ Result<ExtractedQuery> ExtractSceneQueryRegions(const ImageF& query_image,
 
 Result<std::vector<CandidateImage>> ProbeCandidates(
     const WalrusIndex& index, const std::vector<Region>& query_regions,
-    const QueryOptions& options, ProbeDiagnostics* diag, QueryTrace* trace) {
+    const QueryOptions& options, ProbeDiagnostics* diag) {
   const bool use_bbox =
       index.params().signature_kind == RegionSignatureKind::kBoundingBox;
   const bool paged = index.is_paged();
@@ -173,18 +158,8 @@ Result<std::vector<CandidateImage>> ProbeCandidates(
   int64_t nodes_visited = 0;
   int64_t regions_retrieved = 0;
 
-  // Signature prefilter tier (DESIGN.md section 16): instead of the exact
-  // centroid test inline in the traversal, collect raw envelope hits per
-  // query region and post-filter each bucket through the signature store
-  // (admissible Hamming prune, then a batched exact verification). The
-  // accepted candidate set is provably the same either way.
-  const bool prefilter = options.signature_prefilter && !use_bbox &&
-                         index.signatures().dim() > 0;
-
   std::vector<ProbeHit> hits;
   hits.reserve(256);
-  std::vector<std::vector<uint64_t>> raw_hits;
-  if (prefilter) raw_hits.resize(query_regions.size());
   // Records a probe hit after the centroid post-filter. Identical for the
   // batched and per-region paths, so the candidate *set* (and therefore
   // the canonicalized output) cannot depend on which path ran. The kernel
@@ -194,11 +169,6 @@ Result<std::vector<CandidateImage>> ProbeCandidates(
   const double eps2 =
       static_cast<double>(options.epsilon) * options.epsilon;
   const auto accept = [&](size_t qi, const Rect& rect, uint64_t payload) {
-    if (prefilter) {
-      // Defer the exact test to the filter tier.
-      raw_hits[qi].push_back(payload);
-      return;
-    }
     const Region& q = query_regions[qi];
     if (!use_bbox) {
       // Exact Euclidean test on the stored centroid (== rect.lo()).
@@ -248,29 +218,6 @@ Result<std::vector<CandidateImage>> ProbeCandidates(
     }
   }
 
-  SignatureFilterCounters filter_counters;
-  double filter_seconds = 0.0;
-  if (prefilter) {
-    TraceScope filter_span(trace, "filter");
-    WallTimer filter_timer;
-    const SignatureStore& store = index.signatures();
-    SignatureFilterScratch scratch;
-    for (size_t qi = 0; qi < query_regions.size(); ++qi) {
-      const size_t survivors =
-          store.FilterCandidates(query_regions[qi].centroid, eps2,
-                                 &raw_hits[qi], &scratch, &filter_counters);
-      for (size_t i = 0; i < survivors; ++i) {
-        uint64_t image_id;
-        uint32_t region_id;
-        DecodeRegionPayload(raw_hits[qi][i], &image_id, &region_id);
-        hits.push_back({image_id, {static_cast<int>(qi),
-                                   static_cast<int>(region_id)}});
-      }
-      regions_retrieved += static_cast<int64_t>(survivors);
-    }
-    filter_seconds = filter_timer.ElapsedSeconds();
-  }
-
   if (diag != nullptr) {
     diag->regions_retrieved = regions_retrieved;
     diag->nodes_visited = nodes_visited;
@@ -278,10 +225,6 @@ Result<std::vector<CandidateImage>> ProbeCandidates(
     diag->pages_read = disk_after.pages_read - disk_before.pages_read;
     diag->cache_hits = disk_after.cache_hits - disk_before.cache_hits;
     diag->cache_misses = disk_after.cache_misses - disk_before.cache_misses;
-    diag->filter_seconds = filter_seconds;
-    diag->prefilter_candidates_in = filter_counters.candidates_in;
-    diag->prefilter_pruned = filter_counters.hamming_pruned;
-    diag->prefilter_candidates_out = filter_counters.verified_out;
   }
   return CanonicalCandidates(std::move(hits));
 }
@@ -341,41 +284,31 @@ Result<std::vector<QueryMatch>> ScoreCandidates(
   matches.reserve(candidates.size());
   std::vector<char> materialized;
   for (const CandidateImage& candidate : candidates) {
-    std::vector<Region> target_regions;
-    double target_area = 0.0;
-    if (options.signature_prefilter) {
-      // Paired-only materialization: the matchers dereference only target
-      // regions named by the pairs (plus target[0]'s bitmap side), so
-      // decoding every region of the candidate -- the dominant cost of
-      // this stage -- is wasted work. Slot ti is decoded from the same
-      // record position the full path would put there, so scores are
-      // identical.
-      const ImageRecord* record = index.catalog().FindImage(candidate.image_id);
-      if (record == nullptr) {
-        return Status::NotFound("image id " +
-                                std::to_string(candidate.image_id));
-      }
-      target_regions.resize(record->regions.size());
-      materialized.assign(record->regions.size(), 0);
-      for (const RegionPair& pair : candidate.pairs) {
-        if (!materialized[pair.target_index]) {
-          target_regions[pair.target_index] =
-              Region::FromRecord(record->regions[pair.target_index]);
-          materialized[pair.target_index] = 1;
-        }
-      }
-      if (!record->regions.empty() && !materialized[0]) {
-        // The matchers size their union bitmaps from target[0].
-        target_regions[0].bitmap =
-            CoverageBitmap(static_cast<int>(record->regions[0].bitmap_side));
-      }
-      target_area = static_cast<double>(record->width) * record->height;
-    } else {
-      WALRUS_ASSIGN_OR_RETURN(target_regions,
-                              index.ImageRegions(candidate.image_id));
-      WALRUS_ASSIGN_OR_RETURN(target_area,
-                              index.ImageArea(candidate.image_id));
+    // Paired-only materialization: the matchers dereference only target
+    // regions named by the pairs (plus target[0]'s bitmap side), so decoding
+    // every region of the candidate would be wasted work. Slot ti holds the
+    // region with id ti, as ImageRegions would put it there.
+    const ImageRecord* record = index.catalog().FindImage(candidate.image_id);
+    if (record == nullptr) {
+      return Status::NotFound("image id " +
+                              std::to_string(candidate.image_id));
     }
+    std::vector<Region> target_regions(record->regions.size());
+    materialized.assign(record->regions.size(), 0);
+    for (const RegionPair& pair : candidate.pairs) {
+      if (!materialized[pair.target_index]) {
+        target_regions[pair.target_index] =
+            Region::FromRecord(record->regions[pair.target_index]);
+        materialized[pair.target_index] = 1;
+      }
+    }
+    if (!record->regions.empty() && !materialized[0]) {
+      // The matchers size their union bitmaps from target[0].
+      target_regions[0].bitmap =
+          CoverageBitmap(static_cast<int>(record->regions[0].bitmap_side));
+    }
+    const double target_area =
+        static_cast<double>(record->width) * record->height;
     // Refined matching phase (section 5.5): re-verify pairs with the more
     // detailed signatures where both sides carry them.
     const std::vector<RegionPair>* pairs = &candidate.pairs;
@@ -463,12 +396,9 @@ Result<std::vector<QueryMatch>> RunMatchingPipeline(
       candidates = CandidatesFromNeighbors(neighbors);
     } else {
       WALRUS_ASSIGN_OR_RETURN(
-          candidates,
-          ProbeCandidates(index, query_regions, options, &diag, trace));
+          candidates, ProbeCandidates(index, query_regions, options, &diag));
     }
-    // Keep the stages disjoint: the signature tier timed itself inside the
-    // probe block, so subtract it out of the probe figure.
-    probe_seconds = probe_timer.ElapsedSeconds() - diag.filter_seconds;
+    probe_seconds = probe_timer.ElapsedSeconds();
   }
 
   // Image matching (section 5.5).
@@ -498,15 +428,6 @@ Result<std::vector<QueryMatch>> RunMatchingPipeline(
   metrics.seconds->Observe(timer.ElapsedSeconds());
   metrics.probe_seconds->Observe(probe_seconds);
   metrics.match_seconds->Observe(match_seconds);
-  if (diag.prefilter_candidates_in > 0 || diag.filter_seconds > 0.0) {
-    metrics.prefilter_candidates_in->Increment(
-        static_cast<uint64_t>(diag.prefilter_candidates_in));
-    metrics.prefilter_pruned->Increment(
-        static_cast<uint64_t>(diag.prefilter_pruned));
-    metrics.prefilter_candidates_out->Increment(
-        static_cast<uint64_t>(diag.prefilter_candidates_out));
-    metrics.prefilter_seconds->Observe(diag.filter_seconds);
-  }
 
   if (stats != nullptr) {
     stats->query_regions = static_cast<int>(query_regions.size());
@@ -519,12 +440,8 @@ Result<std::vector<QueryMatch>> RunMatchingPipeline(
     stats->distinct_images = static_cast<int>(candidates.size());
     stats->seconds += timer.ElapsedSeconds();
     stats->probe_seconds = probe_seconds;
-    stats->filter_seconds = diag.filter_seconds;
     stats->match_seconds = match_seconds;
     stats->rank_seconds = rank_seconds;
-    stats->prefilter_candidates_in = diag.prefilter_candidates_in;
-    stats->prefilter_pruned = diag.prefilter_pruned;
-    stats->prefilter_candidates_out = diag.prefilter_candidates_out;
     stats->nodes_visited = diag.nodes_visited;
     stats->pages_read = diag.pages_read;
     stats->cache_hits = diag.cache_hits;

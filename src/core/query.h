@@ -51,19 +51,9 @@ struct QueryOptions {
   /// Answer all query-region epsilon probes in one shared R*-tree
   /// traversal (RStarTree::RangeQueryBatch) instead of one descent per
   /// region. Candidates are identical either way (the batch is a set
-  /// union); this is purely a throughput knob. Wire-transmitted since
-  /// protocol v5 so clients can A/B the probe paths remotely; v4 servers
-  /// simply apply their own default.
+  /// union); this is purely a throughput knob, and in-process only: it
+  /// does not travel over the wire.
   bool batched_probe = true;
-  /// Binary-signature prefilter tier (core/signature_filter.h, DESIGN.md
-  /// section 16): epsilon-envelope hits are collected raw, Hamming-pruned
-  /// against per-region thermometer signatures under an admissible lower
-  /// bound, and the remainder batch-verified; candidate scoring then
-  /// materializes only the target regions the matcher will read. Results
-  /// are bit-identical on or off (the bound only discards candidates the
-  /// exact test would reject); this is purely a throughput knob.
-  /// Wire-transmitted since protocol v5.
-  bool signature_prefilter = true;
 };
 
 /// One ranked target image.
@@ -92,23 +82,12 @@ struct QueryStats {
 
   /// Per-stage wall time (seconds). extract covers sliding-window wavelets
   /// + BIRCH clustering + region assembly; probe the R*-tree range/kNN
-  /// lookups; filter the signature prefilter tier (0 when the prefilter is
-  /// off -- its time is then inside the probe's inline tests); match the
-  /// quick/greedy image matcher; rank the final sort. The stages are
-  /// disjoint: probe_seconds excludes filter_seconds.
+  /// lookups with the exact centroid test; match the quick/greedy image
+  /// matcher; rank the final sort.
   double extract_seconds = 0.0;
   double probe_seconds = 0.0;
-  double filter_seconds = 0.0;
   double match_seconds = 0.0;
   double rank_seconds = 0.0;
-
-  /// Signature prefilter tier traffic (0 when the tier did not run):
-  /// candidates_in counts raw epsilon-envelope hits entering the tier,
-  /// pruned those discarded by the admissible Hamming lower bound, and
-  /// candidates_out the exact-verified survivors handed to scoring.
-  int64_t prefilter_candidates_in = 0;
-  int64_t prefilter_pruned = 0;
-  int64_t prefilter_candidates_out = 0;
 
   /// Index-backend work done by this query's probes. For the in-memory
   /// tree nodes_visited counts R*-tree nodes touched; for a paged index

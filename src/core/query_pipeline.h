@@ -40,13 +40,6 @@ struct ProbeDiagnostics {
   int64_t pages_read = 0;
   int64_t cache_hits = 0;
   int64_t cache_misses = 0;
-  /// Signature prefilter tier slice (all 0 when the tier did not run):
-  /// wall time of the filter passes plus the tier's candidate traffic
-  /// (see QueryStats for the field semantics).
-  double filter_seconds = 0.0;
-  int64_t prefilter_candidates_in = 0;
-  int64_t prefilter_pruned = 0;
-  int64_t prefilter_candidates_out = 0;
 };
 
 /// Stage 0 output: the query decomposed into regions plus the pixel area
@@ -72,21 +65,16 @@ Result<ExtractedQuery> ExtractSceneQueryRegions(const ImageF& query_image,
                                                 QueryTrace* trace = nullptr);
 
 /// Stage 1, epsilon mode (Definitions 4.1 and 5.4): probes `index` with
-/// every query region's signature expanded by options.epsilon (centroid
-/// mode post-filters the L-infinity candidates down to true Euclidean
-/// matches). With options.signature_prefilter set (and a centroid-mode,
-/// non-kNN probe), the post-filter runs as the signature tier instead of
-/// inline: raw envelope hits are Hamming-pruned then batch-verified
-/// (core/signature_filter.h) -- the accepted set is identical either way.
+/// every query region's signature expanded by options.epsilon. In centroid
+/// mode each envelope hit then passes the exact Euclidean test on the
+/// centroid the traversal already holds, so only true matches survive.
 /// Returns candidates sorted by image id with canonically ordered pair
 /// lists. The result is a pure function of the indexed data: independent
 /// of tree build path (incremental vs bulk load) and of how images are
-/// partitioned across shards. `trace`, when non-null, receives a "filter"
-/// child span for the tier.
+/// partitioned across shards.
 Result<std::vector<CandidateImage>> ProbeCandidates(
     const WalrusIndex& index, const std::vector<Region>& query_regions,
-    const QueryOptions& options, ProbeDiagnostics* diag = nullptr,
-    QueryTrace* trace = nullptr);
+    const QueryOptions& options, ProbeDiagnostics* diag = nullptr);
 
 /// Stage 1, kNN mode: for each query region, the k = options.knn_per_region
 /// nearest database regions as (payload, distance) pairs in ascending
@@ -109,11 +97,10 @@ std::vector<CandidateImage> CandidatesFromNeighbors(
 /// matcher (applying the refined-matching phase and the tau threshold) and
 /// returns the surviving matches, unranked, in candidate order. Every
 /// candidate's image must be indexed in `index` — with sharding, score a
-/// shard's own candidates against that shard. With
-/// options.signature_prefilter set, only the target regions the matcher
-/// will read (those named by the candidate's pairs) are materialized from
-/// the catalog instead of every region of the image; scores are identical
-/// because the matchers never dereference unpaired target regions.
+/// shard's own candidates against that shard. Only the target regions the
+/// matcher will read (those named by the candidate's pairs) are
+/// materialized from the catalog, not every region of the image; the
+/// matchers never dereference unpaired target regions.
 Result<std::vector<QueryMatch>> ScoreCandidates(
     const WalrusIndex& index, const std::vector<Region>& query_regions,
     double query_area, const QueryOptions& options,

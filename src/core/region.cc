@@ -1,7 +1,6 @@
 #include "core/region.h"
 
 #include "common/check.h"
-#include "core/signature_filter.h"
 
 namespace walrus {
 
@@ -23,10 +22,6 @@ RegionRecord Region::ToRecord() const {
   record.bitmap = bitmap.ToBytes();
   record.bitmap_side = static_cast<uint32_t>(bitmap.side());
   record.window_count = window_count;
-  // Derived, not stored on Region: the record is the persistence format,
-  // so every producer (offline add, live ingest, WAL replay) carries the
-  // same quantized words.
-  record.signature = ComputeSignature(record.centroid);
   return record;
 }
 

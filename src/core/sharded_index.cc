@@ -147,10 +147,7 @@ Result<std::vector<QueryMatch>> ShardedIndex::RunPipelineSharded(
     } else {
       auto candidates =
           ProbeCandidates(shard, query_regions, options, &diags[s]);
-      // The signature tier timed itself inside the probe call; keep the
-      // per-shard stage figures disjoint (filter rides in diags[s]).
-      shard_probe_seconds[s] =
-          probe_timer.ElapsedSeconds() - diags[s].filter_seconds;
+      shard_probe_seconds[s] = probe_timer.ElapsedSeconds();
       if (!candidates.ok()) {
         shard_status[s] = candidates.status();
         return;
@@ -272,7 +269,6 @@ Result<std::vector<QueryMatch>> ShardedIndex::RunPipelineSharded(
 
   int64_t regions_retrieved = 0;
   double probe_seconds = 0.0;
-  double filter_seconds = 0.0;
   ProbeDiagnostics total;
   for (int s = 0; s < n; ++s) {
     regions_retrieved += diags[s].regions_retrieved;
@@ -280,11 +276,7 @@ Result<std::vector<QueryMatch>> ShardedIndex::RunPipelineSharded(
     total.pages_read += diags[s].pages_read;
     total.cache_hits += diags[s].cache_hits;
     total.cache_misses += diags[s].cache_misses;
-    total.prefilter_candidates_in += diags[s].prefilter_candidates_in;
-    total.prefilter_pruned += diags[s].prefilter_pruned;
-    total.prefilter_candidates_out += diags[s].prefilter_candidates_out;
     probe_seconds = std::max(probe_seconds, shard_probe_seconds[s]);
-    filter_seconds = std::max(filter_seconds, diags[s].filter_seconds);
   }
 
   metrics.queries->Increment();
@@ -306,12 +298,8 @@ Result<std::vector<QueryMatch>> ShardedIndex::RunPipelineSharded(
     // Per-stage times report the fan-out critical path (max across
     // shards), not the sum — they answer "where did the wall time go".
     stats->probe_seconds = probe_seconds;
-    stats->filter_seconds = filter_seconds;
     stats->match_seconds = match_seconds;
     stats->rank_seconds = rank_seconds;
-    stats->prefilter_candidates_in = total.prefilter_candidates_in;
-    stats->prefilter_pruned = total.prefilter_pruned;
-    stats->prefilter_candidates_out = total.prefilter_candidates_out;
     stats->nodes_visited = total.nodes_visited;
     stats->pages_read = total.pages_read;
     stats->cache_hits = total.cache_hits;

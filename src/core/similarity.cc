@@ -38,8 +38,8 @@ std::vector<RegionPair> FindMatchingPairs(const std::vector<Region>& query,
   const simd::KernelTable& kern = simd::Active();
   const int count = static_cast<int>(target.size());
   if (use_bounding_box) {
-    const PackedSignatureStore pack =
-        PackedSignatureStore::FromBoundingBoxes(target);
+    const PackedSignaturePlanes pack =
+        PackedSignaturePlanes::FromBoundingBoxes(target);
     const int dim = pack.dim();
     std::vector<uint64_t> mask((count + 63) / 64);
     std::vector<float> qlo(dim), qhi(dim);
@@ -65,8 +65,8 @@ std::vector<RegionPair> FindMatchingPairs(const std::vector<Region>& query,
       }
     }
   } else {
-    const PackedSignatureStore pack =
-        PackedSignatureStore::FromCentroids(target);
+    const PackedSignaturePlanes pack =
+        PackedSignaturePlanes::FromCentroids(target);
     const int dim = pack.dim();
     std::vector<double> dist2(count);
     for (size_t qi = 0; qi < query.size(); ++qi) {

@@ -145,8 +145,6 @@ void EncodeQueryOptions(const QueryOptions& options, BinaryWriter* writer) {
   writer->PutI32(options.top_k);
   writer->PutU8(options.collect_pairs ? 1 : 0);
   writer->PutU8(options.collect_trace ? 1 : 0);
-  writer->PutU8(options.batched_probe ? 1 : 0);
-  writer->PutU8(options.signature_prefilter ? 1 : 0);
 }
 
 Result<QueryOptions> DecodeQueryOptions(BinaryReader* reader) {
@@ -174,10 +172,6 @@ Result<QueryOptions> DecodeQueryOptions(BinaryReader* reader) {
   options.collect_pairs = pairs != 0;
   WALRUS_ASSIGN_OR_RETURN(uint8_t trace, reader->GetU8());
   options.collect_trace = trace != 0;
-  WALRUS_ASSIGN_OR_RETURN(uint8_t batched, reader->GetU8());
-  options.batched_probe = batched != 0;
-  WALRUS_ASSIGN_OR_RETURN(uint8_t prefilter, reader->GetU8());
-  options.signature_prefilter = prefilter != 0;
   return options;
 }
 
@@ -307,10 +301,6 @@ void EncodeQueryStats(const QueryStats& stats, BinaryWriter* writer) {
   writer->PutI64(stats.cache_hits);
   writer->PutI64(stats.cache_misses);
   EncodeTraceSpans(stats.spans, writer);
-  writer->PutDouble(stats.filter_seconds);
-  writer->PutI64(stats.prefilter_candidates_in);
-  writer->PutI64(stats.prefilter_pruned);
-  writer->PutI64(stats.prefilter_candidates_out);
 }
 
 Result<QueryStats> DecodeQueryStats(BinaryReader* reader) {
@@ -330,10 +320,6 @@ Result<QueryStats> DecodeQueryStats(BinaryReader* reader) {
   WALRUS_ASSIGN_OR_RETURN(stats.cache_hits, reader->GetI64());
   WALRUS_ASSIGN_OR_RETURN(stats.cache_misses, reader->GetI64());
   WALRUS_ASSIGN_OR_RETURN(stats.spans, DecodeTraceSpans(reader));
-  WALRUS_ASSIGN_OR_RETURN(stats.filter_seconds, reader->GetDouble());
-  WALRUS_ASSIGN_OR_RETURN(stats.prefilter_candidates_in, reader->GetI64());
-  WALRUS_ASSIGN_OR_RETURN(stats.prefilter_pruned, reader->GetI64());
-  WALRUS_ASSIGN_OR_RETURN(stats.prefilter_candidates_out, reader->GetI64());
   return stats;
 }
 
@@ -489,9 +475,6 @@ void EncodeServerStats(const ServerStats& stats, BinaryWriter* writer) {
     writer->PutU64(stats.ingest.wal_synced_lsn);
     writer->PutU64(stats.ingest.wal_file_bytes);
   }
-  writer->PutU64(stats.prefilter_candidates_in);
-  writer->PutU64(stats.prefilter_pruned);
-  writer->PutU64(stats.prefilter_candidates_out);
 }
 
 Result<ServerStats> DecodeServerStats(BinaryReader* reader) {
@@ -542,9 +525,6 @@ Result<ServerStats> DecodeServerStats(BinaryReader* reader) {
     WALRUS_ASSIGN_OR_RETURN(stats.ingest.wal_synced_lsn, reader->GetU64());
     WALRUS_ASSIGN_OR_RETURN(stats.ingest.wal_file_bytes, reader->GetU64());
   }
-  WALRUS_ASSIGN_OR_RETURN(stats.prefilter_candidates_in, reader->GetU64());
-  WALRUS_ASSIGN_OR_RETURN(stats.prefilter_pruned, reader->GetU64());
-  WALRUS_ASSIGN_OR_RETURN(stats.prefilter_candidates_out, reader->GetU64());
   return stats;
 }
 

@@ -45,13 +45,16 @@ inline constexpr uint32_t kProtocolMagic = 0x57414C52;  // "WALR"
 /// v4: the INSERT_IMAGE and DELETE_IMAGE mutation opcodes were added
 /// (answered with Unimplemented by read-only servers); ServerStats gained
 /// the ingest/WAL section.
-/// v5: QueryOptions gained batched_probe + signature_prefilter (so clients
-/// can A/B the probe paths remotely); QueryStats gained filter_seconds and
-/// the prefilter candidate counters. v4 frames were still accepted.
+/// v5: QueryOptions gained two probe-path flags (batched probing and the
+/// binary-signature filter tier); QueryStats gained the tier's time and
+/// candidate counters. v4 frames were still accepted.
 /// v6: the result cache was removed, and with it the v3 hit flag and
-/// cache counters. Only v6 is accepted; the v5 probe and prefilter fields
-/// are part of every v6 body.
-inline constexpr uint8_t kProtocolVersion = 6;
+/// cache counters.
+/// v7: the signature filter tier was removed, with every v5 field: the two
+/// QueryOptions flags (batched probing is an in-process option only), the
+/// tier's QueryStats time and counters, and its ServerStats counters. Only
+/// v7 is accepted.
+inline constexpr uint8_t kProtocolVersion = 7;
 inline constexpr size_t kFrameHeaderBytes = 20;
 inline constexpr size_t kFrameTrailerBytes = 4;
 /// Upper bound on a frame body; larger length prefixes are rejected before
@@ -180,11 +183,6 @@ struct ServerStats {
   /// (mutable) engine; read-only servers send has_ingest = false.
   bool has_ingest = false;
   IngestStats ingest;
-  /// Signature prefilter funnel (v5): cumulative walrus.prefilter.*
-  /// counters of this process (all zero when the tier never ran).
-  uint64_t prefilter_candidates_in = 0;
-  uint64_t prefilter_pruned = 0;
-  uint64_t prefilter_candidates_out = 0;
 };
 void EncodeServerStats(const ServerStats& stats, BinaryWriter* writer);
 Result<ServerStats> DecodeServerStats(BinaryReader* reader);

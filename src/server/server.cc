@@ -432,13 +432,6 @@ ServerStats WalrusServer::Snapshot() const {
     stats.has_ingest = true;
     stats.ingest = ingest_->IngestStatsSnapshot();
   }
-  MetricsRegistry& registry = MetricsRegistry::Global();
-  stats.prefilter_candidates_in =
-      registry.GetCounter("walrus.prefilter.candidates_in")->Value();
-  stats.prefilter_pruned =
-      registry.GetCounter("walrus.prefilter.pruned")->Value();
-  stats.prefilter_candidates_out =
-      registry.GetCounter("walrus.prefilter.candidates_out")->Value();
   return stats;
 }
 

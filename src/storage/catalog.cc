@@ -16,8 +16,6 @@ void RegionRecord::Serialize(BinaryWriter* writer) const {
   writer->PutU32(static_cast<uint32_t>(bitmap.size()));
   writer->PutBytes(bitmap.data(), bitmap.size());
   writer->PutU64(window_count);
-  writer->PutU32(static_cast<uint32_t>(signature.size()));
-  for (uint64_t word : signature) writer->PutU64(word);
 }
 
 Result<RegionRecord> RegionRecord::Deserialize(BinaryReader* reader) {
@@ -29,14 +27,12 @@ Result<RegionRecord> RegionRecord::Deserialize(BinaryReader* reader) {
   WALRUS_ASSIGN_OR_RETURN(r.bbox_hi, reader->GetFloatVector());
   WALRUS_ASSIGN_OR_RETURN(r.bitmap_side, reader->GetU32());
   WALRUS_ASSIGN_OR_RETURN(uint32_t bitmap_bytes, reader->GetU32());
+  if (bitmap_bytes > reader->remaining()) {
+    return Status::Corruption("region record: bitmap length past end");
+  }
   r.bitmap.resize(bitmap_bytes);
   WALRUS_RETURN_IF_ERROR(reader->GetBytes(r.bitmap.data(), bitmap_bytes));
   WALRUS_ASSIGN_OR_RETURN(r.window_count, reader->GetU64());
-  WALRUS_ASSIGN_OR_RETURN(uint32_t signature_words, reader->GetU32());
-  r.signature.resize(signature_words);
-  for (uint32_t i = 0; i < signature_words; ++i) {
-    WALRUS_ASSIGN_OR_RETURN(r.signature[i], reader->GetU64());
-  }
   return r;
 }
 
@@ -145,30 +141,14 @@ Status Catalog::Validate() const {
   return Status::OK();
 }
 
-void Catalog::Serialize(BinaryWriter* writer) const {
-  writer->PutU32(0x57434154);  // "WCAT"
-  writer->PutU32(static_cast<uint32_t>(images_.size()));
-  for (const ImageRecord& rec : images_) rec.Serialize(writer);
-}
-
-Result<Catalog> Catalog::Deserialize(BinaryReader* reader) {
-  WALRUS_ASSIGN_OR_RETURN(uint32_t magic, reader->GetU32());
-  if (magic != 0x57434154) return Status::Corruption("catalog: bad magic");
-  WALRUS_ASSIGN_OR_RETURN(uint32_t count, reader->GetU32());
-  Catalog catalog;
-  for (uint32_t i = 0; i < count; ++i) {
-    WALRUS_ASSIGN_OR_RETURN(ImageRecord rec, ImageRecord::Deserialize(reader));
-    WALRUS_RETURN_IF_ERROR(catalog.AddImage(std::move(rec)));
-  }
-  return catalog;
-}
-
 Status Catalog::SaveToFile(const std::string& path) const {
   WALRUS_ASSIGN_OR_RETURN(PageFile file, PageFile::Create(path));
   // One blob per image record; a directory blob maps ids to blob refs and a
   // trailer on the header... the directory blob ref itself is stored last in
   // a fixed "root" blob written first (page 1) so Open can find it.
   BinaryWriter directory;
+  directory.PutU32(kCatalogMagic);
+  directory.PutU32(kCatalogFormatVersion);
   directory.PutU32(static_cast<uint32_t>(images_.size()));
   std::vector<BlobRef> refs;
   refs.reserve(images_.size());
@@ -206,6 +186,15 @@ Result<Catalog> Catalog::LoadFromFile(const std::string& path) {
   WALRUS_ASSIGN_OR_RETURN(std::vector<uint8_t> dir_bytes,
                           file.ReadBlob(BlobRef{dir_head, dir_len}));
   BinaryReader dir(dir_bytes);
+  WALRUS_ASSIGN_OR_RETURN(uint32_t magic, dir.GetU32());
+  if (magic != kCatalogMagic) {
+    return Status::Corruption("catalog: bad directory magic (a v1 file?)");
+  }
+  WALRUS_ASSIGN_OR_RETURN(uint32_t version, dir.GetU32());
+  if (version != kCatalogFormatVersion) {
+    return Status::Corruption("catalog: unsupported format version " +
+                              std::to_string(version));
+  }
   WALRUS_ASSIGN_OR_RETURN(uint32_t count, dir.GetU32());
   Catalog catalog;
   for (uint32_t i = 0; i < count; ++i) {
@@ -217,6 +206,10 @@ Result<Catalog> Catalog::LoadFromFile(const std::string& path) {
     BinaryReader rec_reader(bytes);
     WALRUS_ASSIGN_OR_RETURN(ImageRecord rec,
                             ImageRecord::Deserialize(&rec_reader));
+    if (!rec_reader.AtEnd()) {
+      return Status::Corruption("catalog: trailing bytes in record of image " +
+                                std::to_string(image_id));
+    }
     if (rec.image_id != image_id) {
       return Status::Corruption("catalog: directory/record id mismatch");
     }

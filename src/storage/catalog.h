@@ -11,6 +11,12 @@
 
 namespace walrus {
 
+/// Catalog file format, stamped at the head of the directory blob. v2
+/// dropped the per-region binary signature words that v1 stored after
+/// window_count; a v1 file fails to load instead of being misparsed.
+inline constexpr uint32_t kCatalogMagic = 0x57434154;  // "WCAT"
+inline constexpr uint32_t kCatalogFormatVersion = 2;
+
 /// Persistent description of one extracted image region: everything the
 /// query pipeline needs without re-reading pixels (paper section 5.3 stores
 /// "its signature along with its bitmap" per region).
@@ -30,10 +36,6 @@ struct RegionRecord {
   uint32_t bitmap_side = 0;
   /// Number of sliding windows clustered into this region.
   uint64_t window_count = 0;
-  /// Binary prefilter signature: one 64-bit thermometer word per centroid
-  /// dimension (core/signature_filter.h). A pure function of `centroid`;
-  /// empty records (legacy catalogs) are recomputed on load.
-  std::vector<uint64_t> signature;
 
   void Serialize(BinaryWriter* writer) const;
   static Result<RegionRecord> Deserialize(BinaryReader* reader);
@@ -81,11 +83,10 @@ class Catalog {
   /// Persists the catalog into a freshly created PageFile at `path`.
   Status SaveToFile(const std::string& path) const;
 
-  /// Loads a catalog previously written by SaveToFile.
+  /// Loads a catalog previously written by SaveToFile. A file in another
+  /// format version, or a record blob with bytes left over after its
+  /// record, is Corruption.
   static Result<Catalog> LoadFromFile(const std::string& path);
-
-  void Serialize(BinaryWriter* writer) const;
-  static Result<Catalog> Deserialize(BinaryReader* reader);
 
  private:
   std::vector<ImageRecord> images_;

@@ -290,12 +290,19 @@ Result<std::unique_ptr<LiveIndex>> LiveIndex::Open(const std::string& dir,
 Status LiveIndex::ApplyReplayRecord(const WalRecord& record) {
   switch (record.type) {
     case WalRecordType::kInsertImage: {
+      const std::string where = "wal replay lsn " + std::to_string(record.lsn);
       BinaryReader reader(record.body);
       WALRUS_ASSIGN_OR_RETURN(ImageRecord image,
                               ImageRecord::Deserialize(&reader));
+      if (!reader.AtEnd()) {
+        return Status::Corruption(where + ": trailing bytes in insert body");
+      }
+      Status valid = ValidateImageRecord(image, params_);
+      if (!valid.ok()) {
+        return Status::Corruption(where + ": " + valid.message());
+      }
       WriterMutexLock lock(state_mu_);
-      return Annotate(delta_->AddImageRecord(std::move(image)),
-                      "wal replay lsn " + std::to_string(record.lsn));
+      return Annotate(delta_->AddImageRecord(std::move(image)), where);
     }
     case WalRecordType::kDeleteImage: {
       BinaryReader reader(record.body);
@@ -332,12 +339,8 @@ Status LiveIndex::InsertImage(uint64_t image_id, const std::string& name,
   WALRUS_ASSIGN_OR_RETURN(
       ImageRecord record,
       WalrusIndex::ExtractImageRecord(params_, image_id, name, image));
-  for (const RegionRecord& region : record.regions) {
-    if (region.region_id >= (1u << 16)) {
-      return Status::InvalidArgument("image produced more regions than the "
-                                     "16-bit region payload can hold");
-    }
-  }
+  // Reject before logging: a record in the WAL must replay cleanly.
+  WALRUS_RETURN_IF_ERROR(ValidateImageRecord(record, params_));
   std::vector<uint8_t> body = EncodeInsertBody(record);
 
   uint64_t lsn = 0;
@@ -536,7 +539,6 @@ Result<std::vector<QueryMatch>> LiveIndex::RunPipelineLive(
   int64_t regions_retrieved = 0;
   size_t distinct_images = 0;
   double probe_seconds = 0.0;
-  double filter_seconds = 0.0;
   double match_seconds = 0.0;
 
   auto fold_diag = [&](const ProbeDiagnostics& diag) {
@@ -545,11 +547,6 @@ Result<std::vector<QueryMatch>> LiveIndex::RunPipelineLive(
     total.pages_read += diag.pages_read;
     total.cache_hits += diag.cache_hits;
     total.cache_misses += diag.cache_misses;
-    total.prefilter_candidates_in += diag.prefilter_candidates_in;
-    total.prefilter_pruned += diag.prefilter_pruned;
-    total.prefilter_candidates_out += diag.prefilter_candidates_out;
-    // Parts run serially here, so the signature-tier slices sum.
-    filter_seconds += diag.filter_seconds;
   };
 
   if (knn) {
@@ -641,9 +638,7 @@ Result<std::vector<QueryMatch>> LiveIndex::RunPipelineLive(
       WallTimer probe_timer;
       Result<std::vector<CandidateImage>> candidates =
           ProbeCandidates(part, query_regions, options, &diag);
-      // Keep stages disjoint: the signature tier timed itself inside the
-      // probe call and is reported via filter_seconds.
-      probe_seconds += probe_timer.ElapsedSeconds() - diag.filter_seconds;
+      probe_seconds += probe_timer.ElapsedSeconds();
       WALRUS_RETURN_IF_ERROR(candidates.status());
       fold_diag(diag);
       if (filter_tombstones && !tombstones_.empty()) {
@@ -696,12 +691,8 @@ Result<std::vector<QueryMatch>> LiveIndex::RunPipelineLive(
     stats->distinct_images = static_cast<int>(distinct_images);
     stats->seconds += timer.ElapsedSeconds();
     stats->probe_seconds = probe_seconds;
-    stats->filter_seconds = filter_seconds;
     stats->match_seconds = match_seconds;
     stats->rank_seconds = rank_seconds;
-    stats->prefilter_candidates_in = total.prefilter_candidates_in;
-    stats->prefilter_pruned = total.prefilter_pruned;
-    stats->prefilter_candidates_out = total.prefilter_candidates_out;
     stats->nodes_visited = total.nodes_visited;
     stats->pages_read = total.pages_read;
     stats->cache_hits = total.cache_hits;

@@ -37,10 +37,10 @@ namespace walrus {
 /// leaves a half record -- therefore truncate cleanly to the last record
 /// whose CRC verifies; nothing after the first invalid byte is trusted.
 inline constexpr uint32_t kWalMagic = 0x4C415757;  // "WWAL" on disk
-/// v2: kInsertImage bodies carry the per-region binary signature words
-/// (storage/catalog.h RegionRecord::signature). v1 files are rejected
+/// v3: kInsertImage bodies are ImageRecords without the per-region binary
+/// signature words v2 carried. Files of any other version are rejected
 /// cleanly at open rather than misparsed.
-inline constexpr uint8_t kWalFormatVersion = 2;
+inline constexpr uint8_t kWalFormatVersion = 3;
 inline constexpr size_t kWalHeaderBytes = 20;
 /// Fixed bytes around a record body: length + LSN + type + CRC trailer.
 inline constexpr size_t kWalRecordOverhead = 17;

@@ -30,7 +30,6 @@
 #include "server/protocol.h"
 #include "server/server.h"
 #include "spatial/rstar_tree.h"
-#include "wavelet/compress.h"
 #include "wavelet/haar1d.h"
 #include "wavelet/haar2d.h"
 #include "wavelet/sliding_window.h"

@@ -312,107 +312,6 @@ TEST(SimdKernelExactness, HaarBase2x2) {
 // DpVsNaiveSweep tests in tests/wavelet/, which exercise the vectorized
 // omega=2 level against the naive per-window transform.
 
-// SoA word planes for the Hamming kernels: word plane w of entry e at
-// words[w * count + e]. Mixes random words with all-zero and all-one ones
-// so the popcount paths see their 0 and 64 extremes.
-std::vector<uint64_t> RandomWords(Rng* rng, int words_per_sig, int count) {
-  std::vector<uint64_t> words(
-      static_cast<size_t>(words_per_sig) * count, 0);
-  for (uint64_t& w : words) {
-    switch (rng->NextBounded(4)) {
-      case 0:
-        w = 0;
-        break;
-      case 1:
-        w = ~uint64_t{0};
-        break;
-      default:
-        w = (static_cast<uint64_t>(rng->NextU32()) << 32) | rng->NextU32();
-    }
-  }
-  return words;
-}
-
-TEST(SimdKernelExactness, Popcount64) {
-  const KernelTable& ref = Kernels(IsaLevel::kScalar);
-  Rng rng(111);
-  std::vector<uint64_t> samples = RandomWords(&rng, 1, 256);
-  samples.push_back(0);
-  samples.push_back(~uint64_t{0});
-  samples.push_back(1);
-  samples.push_back(uint64_t{1} << 63);
-  for (uint64_t x : samples) {
-    uint32_t want = ref.popcount64(x);
-    for (IsaLevel level : SupportedLevels()) {
-      EXPECT_EQ(want, Kernels(level).popcount64(x))
-          << "x=" << x << " level=" << IsaName(level);
-    }
-  }
-}
-
-TEST(SimdKernelExactness, BatchHamming) {
-  const KernelTable& ref = Kernels(IsaLevel::kScalar);
-  Rng rng(112);
-  for (int words_per_sig : {1, 2, 4, 12}) {
-    for (int count : kSizes) {
-      std::vector<uint64_t> words = RandomWords(&rng, words_per_sig, count);
-      std::vector<uint64_t> q = RandomWords(&rng, words_per_sig, 1);
-      std::vector<uint32_t> want(count, 0xDEAD);
-      ref.batch_hamming(words.data(), count, words_per_sig, count, q.data(),
-                        want.data());
-      for (IsaLevel level : SupportedLevels()) {
-        std::vector<uint32_t> got(count, 0xBEEF);
-        Kernels(level).batch_hamming(words.data(), count, words_per_sig,
-                                     count, q.data(), got.data());
-        ASSERT_TRUE(SameBytes(want.data(), got.data(),
-                              count * sizeof(uint32_t)))
-            << "words_per_sig=" << words_per_sig << " count=" << count
-            << " level=" << IsaName(level);
-      }
-    }
-  }
-}
-
-TEST(SimdKernelExactness, BatchSignatureLb) {
-  const KernelTable& ref = Kernels(IsaLevel::kScalar);
-  Rng rng(113);
-  for (int words_per_sig : {1, 2, 4, 12}) {
-    for (int count : kSizes) {
-      std::vector<uint64_t> words = RandomWords(&rng, words_per_sig, count);
-      std::vector<uint64_t> q = RandomWords(&rng, words_per_sig, 1);
-      std::vector<uint32_t> want(count, 0xDEAD);
-      ref.batch_signature_lb(words.data(), count, words_per_sig, count,
-                             q.data(), want.data());
-      for (IsaLevel level : SupportedLevels()) {
-        std::vector<uint32_t> got(count, 0xBEEF);
-        Kernels(level).batch_signature_lb(words.data(), count, words_per_sig,
-                                          count, q.data(), got.data());
-        ASSERT_TRUE(SameBytes(want.data(), got.data(),
-                              count * sizeof(uint32_t)))
-            << "words_per_sig=" << words_per_sig << " count=" << count
-            << " level=" << IsaName(level);
-      }
-    }
-  }
-}
-
-// Spot-check the scalar reference itself on hand-computable inputs: the
-// per-dim contribution is ((popcount(x ^ q) - 1)+)^2 summed over planes.
-TEST(SimdKernelExactness, BatchSignatureLbReferenceSemantics) {
-  const KernelTable& ref = Kernels(IsaLevel::kScalar);
-  // Two dims, one entry. Dim 0 differs by 3 thermometer levels -> (3-1)^2;
-  // dim 1 differs by 1 level -> (1-1)^2 = 0 (adjacent quantization cells
-  // can hold points arbitrarily close, so the bound must ignore them).
-  const uint64_t entry[2] = {0x7, 0x1};  // planes: w*count + e with count=1
-  const uint64_t q[2] = {0x0, 0x0};
-  uint32_t out = 0xDEAD;
-  ref.batch_signature_lb(entry, 1, 2, 1, q, &out);
-  EXPECT_EQ(out, 4u);
-  uint32_t hamming = 0xDEAD;
-  ref.batch_hamming(entry, 1, 2, 1, q, &hamming);
-  EXPECT_EQ(hamming, 4u);  // 3 + 1 differing bits
-}
-
 }  // namespace
 }  // namespace simd
 }  // namespace walrus

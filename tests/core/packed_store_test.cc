@@ -26,17 +26,17 @@ std::vector<Region> RandomRegions(int n, int dim, uint64_t seed) {
   return regions;
 }
 
-TEST(PackedSignatureStore, EmptyPack) {
-  PackedSignatureStore pack = PackedSignatureStore::FromCentroids({});
+TEST(PackedSignaturePlanes, EmptyPack) {
+  PackedSignaturePlanes pack = PackedSignaturePlanes::FromCentroids({});
   EXPECT_EQ(pack.count(), 0);
   EXPECT_EQ(pack.dim(), 0);
   EXPECT_FALSE(pack.has_bounds());
 }
 
-TEST(PackedSignatureStore, CentroidPackIsDimensionMajor) {
+TEST(PackedSignaturePlanes, CentroidPackIsDimensionMajor) {
   const int n = 13, dim = 12;
   std::vector<Region> regions = RandomRegions(n, dim, 31);
-  PackedSignatureStore pack = PackedSignatureStore::FromCentroids(regions);
+  PackedSignaturePlanes pack = PackedSignaturePlanes::FromCentroids(regions);
   EXPECT_EQ(pack.count(), n);
   EXPECT_EQ(pack.dim(), dim);
   EXPECT_EQ(pack.stride(), n);
@@ -50,11 +50,11 @@ TEST(PackedSignatureStore, CentroidPackIsDimensionMajor) {
   }
 }
 
-TEST(PackedSignatureStore, BoundingBoxPackFillsBothPlanes) {
+TEST(PackedSignaturePlanes, BoundingBoxPackFillsBothPlanes) {
   const int n = 7, dim = 5;
   std::vector<Region> regions = RandomRegions(n, dim, 32);
-  PackedSignatureStore pack =
-      PackedSignatureStore::FromBoundingBoxes(regions);
+  PackedSignaturePlanes pack =
+      PackedSignaturePlanes::FromBoundingBoxes(regions);
   EXPECT_EQ(pack.count(), n);
   EXPECT_EQ(pack.dim(), dim);
   EXPECT_TRUE(pack.has_bounds());

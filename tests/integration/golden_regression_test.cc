@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/simd.h"
 #include "common/status.h"
 #include "core/index.h"
 #include "core/query.h"
@@ -376,119 +375,6 @@ TEST_F(GoldenRegressionTest, LiveIngestShardedRetrievalMetricsMatchGolden) {
   }
   RunLiveIngestGoldenCheck(num_shards, "golden_live_sharded", *dataset_,
                            *truth_, *index_);
-}
-
-// ---- Signature-prefilter bit-equality (DESIGN.md section 16) ------------
-//
-// The binary-signature tier is admissible: it may only discard candidates
-// the exact epsilon test would reject, so rankings with the prefilter on
-// must equal the prefilter-off rankings EXACTLY — same ids, same
-// similarities to the last bit, same pair lists — under every engine
-// composition and at every SIMD dispatch level.
-
-std::vector<std::vector<QueryMatch>> RunPrefilterWorkload(
-    const QueryEngine& engine, const std::vector<LabeledImage>& dataset,
-    bool prefilter) {
-  QueryOptions options;
-  options.epsilon = 0.085f;
-  options.collect_pairs = true;  // compare the full payload
-  options.signature_prefilter = prefilter;
-  std::vector<std::vector<QueryMatch>> results;
-  for (int id = 0; id < kNumQueries; ++id) {
-    Result<std::vector<QueryMatch>> matches =
-        engine.RunQuery(dataset[id].image, options);
-    EXPECT_TRUE(matches.ok()) << matches.status();
-    results.push_back(matches.ok() ? std::move(*matches)
-                                   : std::vector<QueryMatch>{});
-  }
-  return results;
-}
-
-void ExpectIdenticalResults(const std::vector<std::vector<QueryMatch>>& on,
-                            const std::vector<std::vector<QueryMatch>>& off,
-                            const char* config) {
-  ASSERT_EQ(on.size(), off.size()) << config;
-  for (size_t q = 0; q < on.size(); ++q) {
-    ASSERT_EQ(on[q].size(), off[q].size()) << config << " query " << q;
-    for (size_t m = 0; m < on[q].size(); ++m) {
-      const QueryMatch& a = on[q][m];
-      const QueryMatch& b = off[q][m];
-      EXPECT_EQ(a.image_id, b.image_id) << config << " q" << q << " m" << m;
-      // Exact double equality: admissibility is not approximate.
-      EXPECT_EQ(a.similarity, b.similarity)
-          << config << " q" << q << " m" << m;
-      EXPECT_EQ(a.matching_pairs, b.matching_pairs)
-          << config << " q" << q << " m" << m;
-      EXPECT_EQ(a.pairs_used, b.pairs_used)
-          << config << " q" << q << " m" << m;
-      ASSERT_EQ(a.pairs.size(), b.pairs.size())
-          << config << " q" << q << " m" << m;
-      for (size_t p = 0; p < a.pairs.size(); ++p) {
-        EXPECT_EQ(a.pairs[p].query_index, b.pairs[p].query_index);
-        EXPECT_EQ(a.pairs[p].target_index, b.pairs[p].target_index);
-      }
-    }
-  }
-}
-
-TEST_F(GoldenRegressionTest, PrefilterRankingsBitIdenticalSingleIndex) {
-  SingleIndexEngine engine(*index_);
-  ExpectIdenticalResults(RunPrefilterWorkload(engine, *dataset_, true),
-                         RunPrefilterWorkload(engine, *dataset_, false),
-                         "single");
-}
-
-TEST_F(GoldenRegressionTest, PrefilterRankingsBitIdenticalForcedScalar) {
-  // Forcing scalar dispatch exercises the reference Hamming/LB kernels end
-  // to end; the results must match the vectorized run bit for bit because
-  // every kernel is exactness-contracted (common/simd.h).
-  SingleIndexEngine engine(*index_);
-  auto native_on = RunPrefilterWorkload(engine, *dataset_, true);
-  simd::TestOnlySetIsa(simd::IsaLevel::kScalar);
-  auto scalar_on = RunPrefilterWorkload(engine, *dataset_, true);
-  auto scalar_off = RunPrefilterWorkload(engine, *dataset_, false);
-  simd::TestOnlyResetIsa();
-  ExpectIdenticalResults(scalar_on, scalar_off, "scalar on/off");
-  ExpectIdenticalResults(native_on, scalar_on, "native/scalar");
-}
-
-TEST_F(GoldenRegressionTest, PrefilterRankingsBitIdenticalSharded) {
-  ShardedIndex::Options options;
-  options.num_shards = 8;
-  Result<ShardedIndex> sharded = ShardedIndex::Partition(*index_, options);
-  ASSERT_TRUE(sharded.ok()) << sharded.status();
-  ExpectIdenticalResults(RunPrefilterWorkload(*sharded, *dataset_, true),
-                         RunPrefilterWorkload(*sharded, *dataset_, false),
-                         "sharded");
-}
-
-TEST_F(GoldenRegressionTest, PrefilterRankingsBitIdenticalLiveIndex) {
-  // Live composition: delta signatures are computed on the fly at insert
-  // time (no offline build), tombstones mask base copies.
-  constexpr size_t kSeedImages = 24;
-  WalrusIndex seed(index_->params());
-  for (size_t i = 0; i < kSeedImages; ++i) {
-    const LabeledImage& scene = (*dataset_)[i];
-    ASSERT_TRUE(seed.AddImage(static_cast<uint64_t>(scene.id),
-                              "scene_" + std::to_string(scene.id), scene.image)
-                    .ok());
-  }
-  LiveIndex::Options options;
-  options.merge_threshold = 0;
-  auto live = LiveIndex::Open(FreshLiveDir("golden_prefilter_live"),
-                              index_->params(), options, &seed);
-  ASSERT_TRUE(live.ok()) << live.status();
-  for (size_t i = kSeedImages; i < dataset_->size(); ++i) {
-    const LabeledImage& scene = (*dataset_)[i];
-    ASSERT_TRUE((*live)
-                    ->InsertImage(static_cast<uint64_t>(scene.id),
-                                  "scene_" + std::to_string(scene.id),
-                                  scene.image)
-                    .ok());
-  }
-  ExpectIdenticalResults(RunPrefilterWorkload(**live, *dataset_, true),
-                         RunPrefilterWorkload(**live, *dataset_, false),
-                         "live");
 }
 
 /// The workload itself must stay sane regardless of the pinned numbers:

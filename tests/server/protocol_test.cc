@@ -105,8 +105,7 @@ TEST(ProtocolTest, QueryOptionsRoundTrip) {
   options.top_k = 9;
   options.collect_pairs = true;
   options.collect_trace = true;
-  options.batched_probe = false;         // non-default
-  options.signature_prefilter = false;   // non-default
+  options.batched_probe = false;  // in-process only: not encoded
 
   BinaryWriter writer;
   EncodeQueryOptions(options, &writer);
@@ -123,14 +122,14 @@ TEST(ProtocolTest, QueryOptionsRoundTrip) {
   EXPECT_EQ(decoded->top_k, options.top_k);
   EXPECT_EQ(decoded->collect_pairs, options.collect_pairs);
   EXPECT_EQ(decoded->collect_trace, options.collect_trace);
-  EXPECT_EQ(decoded->batched_probe, options.batched_probe);
-  EXPECT_EQ(decoded->signature_prefilter, options.signature_prefilter);
+  EXPECT_EQ(decoded->batched_probe, QueryOptions().batched_probe);
+  EXPECT_EQ(reader.remaining(), 0u);
 }
 
 TEST(ProtocolTest, FrameHeaderAcceptsSupportedVersionWindow) {
-  // The window is exactly one version wide: v6 decodes, and every other
-  // header byte -- the retired v4 and v5 included -- is InvalidArgument.
-  EXPECT_EQ(kProtocolVersion, 6);
+  // The window is exactly one version wide: v7 decodes, and every other
+  // header byte -- the retired v5 and v6 included -- is InvalidArgument.
+  EXPECT_EQ(kProtocolVersion, 7);
   std::vector<uint8_t> frame = EncodeFrame(Opcode::kPing, 7, {});
   EXPECT_EQ(frame[4], kProtocolVersion);
   for (int version = 0; version <= 255; ++version) {
@@ -239,9 +238,6 @@ TEST(ProtocolTest, ServerStatsRoundTrip) {
   stats.connections_accepted = 9;
   stats.latency_p50_ms = 1.5;
   stats.latency_p99_ms = 20.0;
-  stats.prefilter_candidates_in = 549735;
-  stats.prefilter_pruned = 342000;
-  stats.prefilter_candidates_out = 109395;
 
   BinaryWriter writer;
   EncodeServerStats(stats, &writer);
@@ -258,9 +254,6 @@ TEST(ProtocolTest, ServerStatsRoundTrip) {
   EXPECT_EQ(decoded->connections_accepted, 9u);
   EXPECT_EQ(decoded->latency_p50_ms, 1.5);
   EXPECT_EQ(decoded->latency_p99_ms, 20.0);
-  EXPECT_EQ(decoded->prefilter_candidates_in, 549735u);
-  EXPECT_EQ(decoded->prefilter_pruned, 342000u);
-  EXPECT_EQ(decoded->prefilter_candidates_out, 109395u);
   EXPECT_EQ(reader.remaining(), 0u);
 }
 
@@ -279,10 +272,6 @@ TEST(ProtocolTest, QueryStatsRoundTripCarriesStageBreakdown) {
   stats.pages_read = 13;
   stats.cache_hits = 9;
   stats.cache_misses = 4;
-  stats.filter_seconds = 0.0078125;
-  stats.prefilter_candidates_in = 36649;
-  stats.prefilter_pruned = 28000;
-  stats.prefilter_candidates_out = 7293;
   TraceSpan extract;
   extract.name = "extract";
   extract.start_seconds = 0.0;
@@ -316,10 +305,6 @@ TEST(ProtocolTest, QueryStatsRoundTripCarriesStageBreakdown) {
   ASSERT_EQ(decoded->spans[0].children.size(), 1u);
   EXPECT_EQ(decoded->spans[0].children[0].name, "wavelet");
   EXPECT_EQ(decoded->spans[0].children[0].start_seconds, 0.01);
-  EXPECT_EQ(decoded->filter_seconds, 0.0078125);
-  EXPECT_EQ(decoded->prefilter_candidates_in, 36649);
-  EXPECT_EQ(decoded->prefilter_pruned, 28000);
-  EXPECT_EQ(decoded->prefilter_candidates_out, 7293);
   EXPECT_EQ(reader.remaining(), 0u);
 }
 

@@ -10,13 +10,12 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/stat.h>
 
 #include <atomic>
-#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -25,6 +24,7 @@
 #include "core/index.h"
 #include "core/query.h"
 #include "core/sharded_index.h"
+#include "fresh_dir.h"
 #include "image/dataset.h"
 #include "server/client.h"
 #include "server/server.h"
@@ -41,7 +41,6 @@ WalrusParams TestParams() {
   return p;
 }
 
-/// Serializes matches the way the wire does, for byte-level comparison.
 std::vector<uint8_t> MatchBytes(const std::vector<QueryMatch>& matches) {
   BinaryWriter writer;
   EncodeMatches(matches, &writer);
@@ -365,10 +364,10 @@ TEST_F(MalformedFrameTest, BadVersionKeepsConnectionUsable) {
   StartServer();
   auto fd = Connect();
   ASSERT_TRUE(fd.ok());
-  // The retired v4 and v5 revisions are refused like a future v9: only the
-  // current version is served.
+  // The retired v5 and v6 revisions are refused like a future v9: only the
+  // current version (v7) is served.
   uint64_t request_id = 5;
-  for (uint8_t version : {4, 5, 9}) {
+  for (uint8_t version : {5, 6, 9}) {
     std::vector<uint8_t> frame = EncodeFrame(Opcode::kPing, request_id++, {});
     frame[4] = version;  // CRC recomputed below to keep framing valid
     uint32_t crc = FrameCrc(frame.data(), {});
@@ -711,8 +710,7 @@ TEST_F(WalrusServerTest, PipelinedMixedOpcodesStayOrdered) {
 // requests execute serially in arrival order, so INSERT -> QUERY ->
 // DELETE -> QUERY observes the insert exactly in between.
 TEST_F(WalrusServerTest, PipelinedMutationsExecuteInArrivalOrder) {
-  std::string dir = ::testing::TempDir() + "/walrus_server_pipeline_wal";
-  ASSERT_TRUE(::mkdir(dir.c_str(), 0755) == 0 || errno == EEXIST);
+  std::string dir = FreshDir("walrus_server_pipeline_wal");
   LiveIndex::Options live_options;
   live_options.merge_threshold = 0;
   auto live = LiveIndex::Open(dir, TestParams(), live_options, index_.get());
@@ -771,8 +769,7 @@ TEST_F(WalrusServerTest, PipelinedMutationsExecuteInArrivalOrder) {
 // SCENE_QUERY and INSERT_IMAGE each answer InvalidArgument, nothing is
 // logged, and the same connection keeps serving.
 TEST_F(WalrusServerTest, NonFinitePixelsAreRejectedPerRequest) {
-  std::string dir = ::testing::TempDir() + "/walrus_server_nonfinite_wal";
-  ASSERT_TRUE(::mkdir(dir.c_str(), 0755) == 0 || errno == EEXIST);
+  std::string dir = FreshDir("walrus_server_nonfinite_wal");
   LiveIndex::Options live_options;
   live_options.merge_threshold = 0;
   auto live = LiveIndex::Open(dir, TestParams(), live_options, index_.get());

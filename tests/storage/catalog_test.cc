@@ -74,26 +74,6 @@ TEST(Catalog, RejectsDuplicateIds) {
   EXPECT_EQ(dup.code(), StatusCode::kAlreadyExists);
 }
 
-TEST(Catalog, BufferSerializationRoundTrip) {
-  Rng rng(3);
-  Catalog catalog;
-  for (uint64_t id = 0; id < 10; ++id) {
-    ASSERT_TRUE(
-        catalog.AddImage(MakeImage(id * 3, rng.NextInt(0, 6), &rng)).ok());
-  }
-  BinaryWriter writer;
-  catalog.Serialize(&writer);
-  BinaryReader reader(writer.buffer());
-  Result<Catalog> restored = Catalog::Deserialize(&reader);
-  ASSERT_TRUE(restored.ok()) << restored.status();
-  ASSERT_EQ(restored->size(), catalog.size());
-  for (const ImageRecord& rec : catalog.images()) {
-    const ImageRecord* other = restored->FindImage(rec.image_id);
-    ASSERT_NE(other, nullptr);
-    ExpectRecordsEqual(rec, *other);
-  }
-}
-
 TEST(Catalog, FileRoundTripThroughPageFile) {
   Rng rng(4);
   Catalog catalog;
@@ -121,12 +101,6 @@ TEST(Catalog, EmptyCatalogFileRoundTrip) {
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(loaded->size(), 0u);
   std::remove(path.c_str());
-}
-
-TEST(Catalog, DeserializeRejectsCorruptMagic) {
-  std::vector<uint8_t> garbage = {0, 1, 2, 3, 4, 5, 6, 7};
-  BinaryReader reader(garbage);
-  EXPECT_FALSE(Catalog::Deserialize(&reader).ok());
 }
 
 TEST(Catalog, LoadRejectsMissingFile) {

@@ -5,17 +5,19 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include <dirent.h>
-#include <sys/stat.h>
-
+#include "common/crc32.h"
+#include "common/serialize.h"
 #include "core/index.h"
 #include "core/query.h"
 #include "core/query_engine.h"
+#include "fresh_dir.h"
 #include "image/dataset.h"
+#include "wal/wal.h"
 
 namespace walrus {
 namespace {
@@ -26,22 +28,6 @@ WalrusParams TestParams() {
   p.max_window = 32;
   p.slide_step = 8;
   return p;
-}
-
-/// Fresh (empty) per-test directory under the gtest temp root.
-std::string FreshDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "/" + name;
-  if (DIR* d = ::opendir(dir.c_str())) {
-    while (struct dirent* entry = ::readdir(d)) {
-      std::string file = entry->d_name;
-      if (file != "." && file != "..") {
-        std::remove((dir + "/" + file).c_str());
-      }
-    }
-    ::closedir(d);
-  }
-  ::mkdir(dir.c_str(), 0755);
-  return dir;
 }
 
 void ExpectIdenticalRankings(const std::vector<QueryMatch>& a,
@@ -330,6 +316,76 @@ TEST_F(LiveIndexTest, HugeFiniteInsertDoesNotAbortAndDirectoryReopens) {
   auto merged = LiveIndex::Open(dir, TestParams(), options);
   ASSERT_TRUE(merged.ok()) << merged.status();
   EXPECT_TRUE((*merged)->ContainsImage(6));
+}
+
+// A WAL header of the previous format (v2, whose insert bodies carried
+// per-region signature words) is refused at open, not misparsed.
+TEST_F(LiveIndexTest, V2WalHeaderIsCorruption) {
+  std::string dir = FreshDir("live_wal_v2");
+  LiveIndex::Options options;
+  options.merge_threshold = 0;
+  {
+    auto live = LiveIndex::Open(dir, TestParams(), options);
+    ASSERT_TRUE(live.ok()) << live.status();
+  }
+  const std::string path = dir + "/wal.log";
+  auto bytes = ReadFileBytes(path);
+  ASSERT_TRUE(bytes.ok()) << bytes.status();
+  ASSERT_GE(bytes->size(), kWalHeaderBytes);
+  ASSERT_EQ((*bytes)[4], kWalFormatVersion);
+  (*bytes)[4] = 2;
+  // Re-seal the header so only the version byte is wrong.
+  const uint32_t crc = Crc32(bytes->data(), 16);
+  for (int b = 0; b < 4; ++b) {
+    (*bytes)[16 + b] = static_cast<uint8_t>(crc >> (8 * b));
+  }
+  ASSERT_TRUE(WriteFileBytes(path, *bytes).ok());
+  auto reopened = LiveIndex::Open(dir, TestParams(), options);
+  EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption)
+      << reopened.status();
+}
+
+// TSan soak: readers query while a writer live-inserts images and the
+// merge threshold forces background base/delta swaps mid-soak.
+TEST_F(LiveIndexTest, ConcurrentLiveInsertsAndQueries) {
+  std::string dir = FreshDir("live_soak");
+  constexpr int kSeedImages = 8;
+  std::vector<int> seed_ids;
+  for (int id = 0; id < kSeedImages; ++id) seed_ids.push_back(id);
+  std::unique_ptr<WalrusIndex> seed = BuildOffline(seed_ids);
+  LiveIndex::Options live_options;
+  live_options.merge_threshold = 3;
+  auto live = LiveIndex::Open(dir, TestParams(), live_options, seed.get());
+  ASSERT_TRUE(live.ok()) << live.status();
+
+  QueryOptions options;
+  options.epsilon = 0.12f;
+  constexpr int kReaders = 6;
+  std::vector<std::thread> threads;
+  std::vector<int> failures(kReaders + 1, 0);
+  for (int t = 0; t < kReaders; ++t) {
+    threads.emplace_back([&, t] {
+      for (int q = 0; q < 12; ++q) {
+        const ImageF& image = dataset_[(t + q) % dataset_.size()].image;
+        QueryStats stats;
+        auto result = (*live)->RunQuery(image, options, &stats);
+        if (!result.ok()) ++failures[t];
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    for (int id = kSeedImages; id < static_cast<int>(dataset_.size()); ++id) {
+      Status status = (*live)->InsertImage(
+          static_cast<uint64_t>(id), "img",
+          dataset_[static_cast<size_t>(id)].image);
+      if (!status.ok()) ++failures[kReaders];
+    }
+  });
+  for (std::thread& t : threads) t.join();
+  for (size_t t = 0; t < failures.size(); ++t) EXPECT_EQ(failures[t], 0) << t;
+
+  (*live)->WaitForMerge();
+  EXPECT_EQ((*live)->ImageCount(), dataset_.size());
 }
 
 TEST_F(LiveIndexTest, ManifestRoundTripAndCorruptionDetection) {
