@@ -13,9 +13,7 @@
 // distinct images over epsilon in {0.05..0.09} on a 10,000-image database.
 //
 // Beyond the paper table, every row carries the per-stage breakdown
-// (extract / probe / match / rank seconds), and the run writes one JSON
-// report:
-//   BENCH_batched_probe.json  batched+SIMD vs scalar per-region probe A/B.
+// (extract / probe / match / rank seconds).
 
 #include <cstdio>
 #include <cstdlib>
@@ -23,7 +21,6 @@
 #include <vector>
 
 #include "bench_json.h"
-#include "common/simd.h"
 #include "common/timer.h"
 #include "core/index.h"
 #include "core/query.h"
@@ -94,86 +91,5 @@ int main() {
   std::printf(
       "# paper shape check: all columns grow with epsilon -- %s\n",
       monotone ? "HOLDS" : "VIOLATED");
-
-  const int num_queries = 8;
-  const int repetitions = walrus::bench::EnvInt("WALRUS_BENCH_REPS", 15);
-
-  // A/B: probe-stage throughput of the vectorized batched multi-probe path
-  // (native ISA + RangeQueryBatch) against the historical per-region scalar
-  // path (WALRUS_SIMD=scalar semantics + one tree descent per query
-  // region). Results are byte-identical between the two configurations
-  // (the kernel exactness contract in common/simd.h); only probe_seconds
-  // moves. Reuses the Table 1 index; queries rotate through the dataset so
-  // the probe mix is not a single region set.
-  std::printf("\n# A/B: batched+SIMD probe path vs scalar per-region path\n");
-  walrus::bench::BenchReport report("batched_probe");
-  const double ab_epsilon = 0.09;
-  report.params()
-      .Set("images", static_cast<int64_t>(index.ImageCount()))
-      .Set("regions", static_cast<int64_t>(index.RegionCount()))
-      .Set("epsilon", ab_epsilon)
-      .Set("queries", num_queries)
-      .Set("repetitions", repetitions)
-      .Set("max_isa", walrus::simd::IsaName(walrus::simd::MaxSupportedIsa()));
-
-  struct AbConfig {
-    const char* name;
-    bool batched;
-    walrus::simd::IsaLevel isa;
-  };
-  const AbConfig configs[] = {
-      {"scalar_per_region", false, walrus::simd::IsaLevel::kScalar},
-      {"simd_batched", true, walrus::simd::MaxSupportedIsa()},
-  };
-
-  std::printf("%-20s %-14s %-16s %-18s\n", "config", "probe_s",
-              "probes_per_s", "nodes_visited");
-  double baseline_probe_s = -1.0;
-  double speedup = 0.0;
-  for (const AbConfig& config : configs) {
-    walrus::simd::TestOnlySetIsa(config.isa);
-    double probe_s = 0.0;
-    int64_t probes = 0;
-    int64_t nodes = 0;
-    for (int rep = 0; rep < repetitions; ++rep) {
-      for (int qi = 0; qi < num_queries; ++qi) {
-        walrus::QueryOptions options;
-        options.epsilon = static_cast<float>(ab_epsilon);
-        options.batched_probe = config.batched;
-        walrus::QueryStats stats;
-        walrus::Result<std::vector<walrus::QueryMatch>> matches =
-            walrus::ExecuteQuery(
-                index, dataset[qi % dataset.size()].image, options, &stats);
-        if (!matches.ok()) {
-          std::fprintf(stderr, "A/B query failed: %s\n",
-                       matches.status().ToString().c_str());
-          return 1;
-        }
-        probe_s += stats.probe_seconds;
-        probes += stats.query_regions;
-        nodes += stats.nodes_visited;
-      }
-    }
-    walrus::simd::TestOnlyResetIsa();
-    const double probes_per_s = probes / probe_s;
-    if (baseline_probe_s < 0.0) {
-      baseline_probe_s = probe_s;
-    } else {
-      speedup = baseline_probe_s / probe_s;
-    }
-    std::printf("%-20s %-14.4f %-16.0f %-18lld\n", config.name, probe_s,
-                probes_per_s, static_cast<long long>(nodes));
-    report.AddRow()
-        .Set("config", config.name)
-        .Set("batched", config.batched ? 1 : 0)
-        .Set("isa", walrus::simd::IsaName(config.isa))
-        .Set("probe_seconds", probe_s)
-        .Set("probes_per_second", probes_per_s)
-        .Set("nodes_visited", nodes);
-  }
-  report.params().Set("probe_stage_speedup", speedup);
-  std::printf("# probe-stage speedup (batched+SIMD over scalar): %.2fx\n",
-              speedup);
-  report.WriteFile();
   return 0;
 }

@@ -97,9 +97,14 @@ void BM_RStarSplitPolicy(benchmark::State& state) {
   size_t qi = 0;
   int64_t nodes = 0;
   int64_t queries = 0;
+  int64_t hits = 0;
+  const auto count_hit = [&hits](int, const Rect&, uint64_t) {
+    ++hits;
+    return true;
+  };
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tree.RangeSearch(probes[qi]));
-    nodes += tree.last_nodes_visited();
+    nodes += tree.RangeQueryBatch({probes[qi]}, count_hit);
+    benchmark::DoNotOptimize(hits);
     ++queries;
     qi = (qi + 1) % probes.size();
   }

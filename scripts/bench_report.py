@@ -28,14 +28,6 @@ BEGIN_MARK = "<!-- bench_report:begin (generated by scripts/bench_report.py) -->
 END_MARK = "<!-- bench_report:end -->"
 
 
-def headline_batched_probe(report):
-    p = report["params"]
-    return (
-        f"{p['probe_stage_speedup']:.2f}x probe-stage speedup "
-        f"(batched+{p['max_isa']} over scalar per-region)"
-    )
-
-
 def headline_simd_kernels(report):
     best = max(report["rows"], key=lambda r: r["speedup_vs_scalar"])
     return (
@@ -55,10 +47,6 @@ def headline_server_c10k(report):
     )
 
 
-def workload_images(report):
-    return f"{report['params']['images']} images"
-
-
 def workload_c10k(report):
     return f"{report['params']['num_images']} images"
 
@@ -71,13 +59,6 @@ def workload_simd(report):
 # Keys are a *floor*: extra keys are fine (rows may grow fields), missing
 # ones are drift.
 SCHEMAS = {
-    "batched_probe": (
-        {"images", "regions", "epsilon", "max_isa", "probe_stage_speedup"},
-        {"config", "batched", "isa", "probe_seconds", "probes_per_second",
-         "nodes_visited"},
-        workload_images,
-        headline_batched_probe,
-    ),
     "simd_kernels": (
         {"dim", "batch_count", "max_isa"},
         {"kernel", "isa", "ns_per_call", "speedup_vs_scalar"},

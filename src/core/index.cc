@@ -329,32 +329,26 @@ Result<WalrusParams> DeserializeParams(BinaryReader* reader) {
   return p;
 }
 
-Status WalrusIndex::ProbeRange(
-    const Rect& query,
-    const std::function<bool(const Rect&, uint64_t)>& visitor) const {
-  if (disk_tree_.has_value()) {
-    return disk_tree_->RangeSearchVisit(query, visitor);
-  }
-  tree_.RangeSearchVisit(query, visitor);
-  return Status::OK();
-}
-
 Status WalrusIndex::ProbeRangeBatch(
     const std::vector<Rect>& probes,
-    const std::function<bool(int, const Rect&, uint64_t)>& visitor) const {
+    const std::function<bool(int, const Rect&, uint64_t)>& visitor,
+    int64_t* nodes_visited) const {
+  if (nodes_visited != nullptr) *nodes_visited = 0;
   if (disk_tree_.has_value()) {
     return disk_tree_->RangeQueryBatch(probes, visitor);
   }
-  tree_.RangeQueryBatch(probes, visitor);
+  const int64_t visited = tree_.RangeQueryBatch(probes, visitor);
+  if (nodes_visited != nullptr) *nodes_visited = visited;
   return Status::OK();
 }
 
 Result<std::vector<std::pair<uint64_t, double>>> WalrusIndex::ProbeNearest(
-    const std::vector<float>& point, int k) const {
+    const std::vector<float>& point, int k, int64_t* nodes_visited) const {
+  if (nodes_visited != nullptr) *nodes_visited = 0;
   if (disk_tree_.has_value()) {
     return disk_tree_->NearestNeighbors(point, k);
   }
-  return tree_.NearestNeighbors(point, k);
+  return tree_.NearestNeighbors(point, k, nodes_visited);
 }
 
 std::vector<std::pair<Rect, uint64_t>> WalrusIndex::CatalogEntries() const {

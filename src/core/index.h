@@ -56,7 +56,8 @@ class WalrusIndex {
   /// Image + region metadata store (names, areas, signatures, bitmaps).
   const Catalog& catalog() const { return catalog_; }
   /// The in-memory R*-tree. Empty when the index was opened paged
-  /// (is_paged()); use ProbeRange/ProbeNearest, which dispatch correctly.
+  /// (is_paged()); use ProbeRangeBatch/ProbeNearest, which dispatch
+  /// correctly.
   const RStarTree& tree() const { return tree_; }
 
   /// True when region probes are served from the on-disk page tree.
@@ -72,23 +73,21 @@ class WalrusIndex {
   }
 
   /// Region-signature probe: streams every indexed region whose rect
-  /// intersects `query` (in-memory or paged backend).
-  [[nodiscard]] Status ProbeRange(
-      const Rect& query,
-      const std::function<bool(const Rect&, uint64_t)>& visitor) const;
-
-  /// Batched multi-probe: answers all query-region probes in one shared
-  /// tree traversal (see RStarTree::RangeQueryBatch). The visitor's first
-  /// argument is the index into `probes` of the matching probe; the
-  /// delivered (probe, payload) set is identical to running ProbeRange per
-  /// probe, grouped by node rather than by probe.
+  /// intersects one of `probes`, all probes in one shared tree traversal
+  /// (see RStarTree::RangeQueryBatch), in-memory or paged backend. The
+  /// visitor's first argument is the index into `probes` of the matching
+  /// probe. `nodes_visited`, when non-null, receives the in-memory tree
+  /// nodes this call touched (0 when paged).
   [[nodiscard]] Status ProbeRangeBatch(
       const std::vector<Rect>& probes,
-      const std::function<bool(int, const Rect&, uint64_t)>& visitor) const;
+      const std::function<bool(int, const Rect&, uint64_t)>& visitor,
+      int64_t* nodes_visited = nullptr) const;
 
   /// k nearest region signatures to `point` (centroid mode).
+  /// `nodes_visited` as for ProbeRangeBatch.
   [[nodiscard]] Result<std::vector<std::pair<uint64_t, double>>> ProbeNearest(
-      const std::vector<float>& point, int k) const;
+      const std::vector<float>& point, int k,
+      int64_t* nodes_visited = nullptr) const;
 
   /// Number of indexed images.
   size_t ImageCount() const { return catalog_.size(); }

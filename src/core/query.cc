@@ -1,13 +1,14 @@
 #include "core/query.h"
 
 #include <algorithm>
-#include <map>
-
+#include <functional>
 #include <memory>
 
+#include "common/check.h"
 #include "common/metrics.h"
 #include "common/simd.h"
 #include "common/status.h"
+#include "common/sync.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "common/trace.h"
@@ -24,6 +25,7 @@ std::vector<double> QuerySecondsBuckets() {
 }
 
 /// Query-funnel metrics (registered once, mutated lock-free per query).
+/// QueryRun is their only writer, whatever the engine.
 struct QueryPathMetrics {
   Counter* queries;
   Counter* regions_retrieved;
@@ -106,6 +108,144 @@ std::vector<CandidateImage> CanonicalCandidates(std::vector<ProbeHit> hits) {
   return candidates;
 }
 
+/// Per-query-region neighbor lists, as ProbeNearestPerRegion returns them.
+using NeighborLists = std::vector<std::vector<std::pair<uint64_t, double>>>;
+
+/// Drops the neighbors of dead images from each per-region list; returns
+/// how many were dropped.
+int64_t DropDeadNeighbors(const std::unordered_set<uint64_t>& dead,
+                          NeighborLists* neighbors) {
+  const auto is_dead = [&dead](const std::pair<uint64_t, double>& neighbor) {
+    uint64_t image_id;
+    uint32_t region_id;
+    DecodeRegionPayload(neighbor.first, &image_id, &region_id);
+    return dead.count(image_id) > 0;
+  };
+  int64_t dropped = 0;
+  for (auto& per_region : *neighbors) {
+    dropped += static_cast<int64_t>(std::erase_if(per_region, is_dead));
+  }
+  return dropped;
+}
+
+/// Drops the candidates of dead images; returns how many region pairs went
+/// with them.
+int64_t DropDeadCandidates(const std::unordered_set<uint64_t>& dead,
+                           std::vector<CandidateImage>* candidates) {
+  int64_t dropped = 0;
+  std::erase_if(*candidates, [&](const CandidateImage& candidate) {
+    if (dead.count(candidate.image_id) == 0) return false;
+    dropped += static_cast<int64_t>(candidate.pairs.size());
+    return true;
+  });
+  return dropped;
+}
+
+/// One part's slots in a composed query, each written only by that part's
+/// own task.
+struct PartWork {
+  Status status;
+  ProbeDiagnostics diag;
+  NeighborLists neighbors;  // kNN mode only
+  std::vector<CandidateImage> candidates;
+  std::vector<QueryMatch> matches;
+};
+
+/// Phase 1 for one part: its epsilon probe (or its kNN probe, asking for
+/// dead_regions extra neighbors), minus the part's dead images.
+void ProbePart(const QueryPart& part, const std::vector<Region>& regions,
+               const QueryOptions& options, bool knn, PartWork* w) {
+  if (knn) {
+    const int k = options.knn_per_region + static_cast<int>(part.dead_regions);
+    auto found = ProbeNearestPerRegion(*part.index, regions, k, &w->diag);
+    if (!found.ok()) {
+      w->status = found.status();
+      return;
+    }
+    w->neighbors = std::move(*found);
+    if (part.dead != nullptr) {
+      w->diag.regions_retrieved -= DropDeadNeighbors(*part.dead, &w->neighbors);
+    }
+    return;
+  }
+  auto found = ProbeCandidates(*part.index, regions, options, &w->diag);
+  if (!found.ok()) {
+    w->status = found.status();
+    return;
+  }
+  w->candidates = std::move(*found);
+  if (part.dead != nullptr) {
+    w->diag.regions_retrieved -= DropDeadCandidates(*part.dead, &w->candidates);
+  }
+}
+
+/// kNN mode, between the phases: merges the parts' neighbor lists into one
+/// top k per query region by (distance, payload), hands each kept neighbor
+/// back to the part it came from (parts hold disjoint live image sets, so
+/// each image has exactly one), and turns each part's share into its
+/// candidates. Returns the number of neighbors kept.
+int64_t MergeNearest(size_t num_regions, size_t k,
+                     std::vector<PartWork>* work) {
+  struct Neighbor {
+    double distance;
+    uint64_t payload;
+    size_t part;
+  };
+  int64_t kept = 0;
+  std::vector<Neighbor> merged;
+  for (size_t qi = 0; qi < num_regions; ++qi) {
+    merged.clear();
+    for (size_t p = 0; p < work->size(); ++p) {
+      for (const auto& [payload, distance] : (*work)[p].neighbors[qi]) {
+        merged.push_back({distance, payload, p});
+      }
+      (*work)[p].neighbors[qi].clear();
+    }
+    std::sort(merged.begin(), merged.end(),
+              [](const Neighbor& a, const Neighbor& b) {
+                if (a.distance != b.distance) return a.distance < b.distance;
+                return a.payload < b.payload;
+              });
+    if (merged.size() > k) merged.resize(k);
+    kept += static_cast<int64_t>(merged.size());
+    for (const Neighbor& nb : merged) {
+      (*work)[nb.part].neighbors[qi].emplace_back(nb.payload, nb.distance);
+    }
+  }
+  for (PartWork& w : *work) {
+    w.candidates = CandidatesFromNeighbors(w.neighbors);
+  }
+  return kept;
+}
+
+/// Runs task(p) for every part p in [0, n): parts 1..n-1 on `pool`, part 0
+/// on the calling thread, then waits on a per-call latch. The pool's global
+/// Wait() is unusable here: concurrent queries share the pool, and Wait()
+/// would block on their work too. Tasks never wait on the pool themselves,
+/// so nesting under ExecuteQueryBatch's pool cannot deadlock.
+void FanOut(ThreadPool* pool, size_t n,
+            const std::function<void(size_t)>& task) {
+  if (pool == nullptr || n <= 1) {
+    for (size_t p = 0; p < n; ++p) task(p);
+    return;
+  }
+  // Per-call latch: mu guards `remaining` (locals cannot carry
+  // WALRUS_GUARDED_BY; the discipline here is by construction).
+  Mutex mu;
+  CondVar done;
+  size_t remaining = n - 1;
+  for (size_t p = 1; p < n; ++p) {
+    pool->Submit([&, p] {
+      task(p);
+      MutexLock lock(mu);
+      if (--remaining == 0) done.NotifyOne();
+    });
+  }
+  task(0);
+  MutexLock lock(mu);
+  while (remaining != 0) done.Wait(lock);
+}
+
 }  // namespace
 
 Result<ExtractedQuery> ExtractQueryRegions(const ImageF& query_image,
@@ -151,72 +291,49 @@ Result<ExtractedQuery> ExtractSceneQueryRegions(const ImageF& query_image,
 Result<std::vector<CandidateImage>> ProbeCandidates(
     const WalrusIndex& index, const std::vector<Region>& query_regions,
     const QueryOptions& options, ProbeDiagnostics* diag) {
+  static Histogram* const batch_size = MetricsRegistry::Global().GetHistogram(
+      "walrus.probe.batch_size", ExponentialBuckets(1, 2, 12));
   const bool use_bbox =
       index.params().signature_kind == RegionSignatureKind::kBoundingBox;
-  const bool paged = index.is_paged();
   const DiskCounters disk_before = DiskCounters::Read(index.disk_tree());
-  int64_t nodes_visited = 0;
   int64_t regions_retrieved = 0;
+
+  // Every region's envelope goes down ONE shared traversal (Hilbert-ordered
+  // active sets, per-node SIMD filtering); a one-region query takes the
+  // traversal's single-active fast path.
+  std::vector<Rect> probes;
+  probes.reserve(query_regions.size());
+  for (const Region& q : query_regions) {
+    probes.push_back(q.IndexRect(use_bbox).Expanded(options.epsilon));
+  }
+  batch_size->Observe(static_cast<double>(probes.size()));
 
   std::vector<ProbeHit> hits;
   hits.reserve(256);
-  // Records a probe hit after the centroid post-filter. Identical for the
-  // batched and per-region paths, so the candidate *set* (and therefore
-  // the canonicalized output) cannot depend on which path ran. The kernel
-  // table is resolved once for the whole probe stage; the inlined distance
-  // test matches RegionsMatchCentroid exactly (full ordered sum vs eps^2).
+  // Records a probe hit after the centroid post-filter. The kernel table is
+  // resolved once for the whole probe stage; the inlined distance test
+  // matches RegionsMatchCentroid exactly (full ordered sum vs eps^2).
   const simd::KernelTable& kern = simd::Active();
   const double eps2 =
       static_cast<double>(options.epsilon) * options.epsilon;
-  const auto accept = [&](size_t qi, const Rect& rect, uint64_t payload) {
-    const Region& q = query_regions[qi];
+  const auto accept = [&](int qi, const Rect& rect, uint64_t payload) {
+    const Region& q = query_regions[static_cast<size_t>(qi)];
     if (!use_bbox) {
       // Exact Euclidean test on the stored centroid (== rect.lo()).
       if (kern.squared_l2_f32(q.centroid.data(), rect.lo().data(),
                               static_cast<int>(q.centroid.size())) > eps2) {
-        return;
+        return true;
       }
     }
     uint64_t image_id;
     uint32_t region_id;
     DecodeRegionPayload(payload, &image_id, &region_id);
     ++regions_retrieved;
-    hits.push_back(
-        {image_id, {static_cast<int>(qi), static_cast<int>(region_id)}});
+    hits.push_back({image_id, {qi, static_cast<int>(region_id)}});
+    return true;
   };
-
-  if (options.batched_probe && query_regions.size() > 1) {
-    // Batched multi-probe: every region's envelope goes down ONE shared
-    // traversal (Hilbert-ordered active sets, per-node SIMD filtering).
-    static Histogram* const batch_size =
-        MetricsRegistry::Global().GetHistogram("walrus.probe.batch_size",
-                                               ExponentialBuckets(1, 2, 12));
-    std::vector<Rect> probes;
-    probes.reserve(query_regions.size());
-    for (const Region& q : query_regions) {
-      probes.push_back(q.IndexRect(use_bbox).Expanded(options.epsilon));
-    }
-    batch_size->Observe(static_cast<double>(probes.size()));
-    WALRUS_RETURN_IF_ERROR(index.ProbeRangeBatch(
-        probes, [&](int qi, const Rect& rect, uint64_t payload) {
-          accept(static_cast<size_t>(qi), rect, payload);
-          return true;
-        }));
-    // One traversal for the whole batch: the count is deduplicated nodes,
-    // not a per-probe sum.
-    if (!paged) nodes_visited = index.tree().last_nodes_visited();
-  } else {
-    for (size_t qi = 0; qi < query_regions.size(); ++qi) {
-      const Region& q = query_regions[qi];
-      Rect probe = q.IndexRect(use_bbox).Expanded(options.epsilon);
-      WALRUS_RETURN_IF_ERROR(
-          index.ProbeRange(probe, [&](const Rect& rect, uint64_t payload) {
-            accept(qi, rect, payload);
-            return true;
-          }));
-      if (!paged) nodes_visited += index.tree().last_nodes_visited();
-    }
-  }
+  int64_t nodes_visited = 0;
+  WALRUS_RETURN_IF_ERROR(index.ProbeRangeBatch(probes, accept, &nodes_visited));
 
   if (diag != nullptr) {
     diag->regions_retrieved = regions_retrieved;
@@ -233,15 +350,16 @@ Result<std::vector<std::vector<std::pair<uint64_t, double>>>>
 ProbeNearestPerRegion(const WalrusIndex& index,
                       const std::vector<Region>& query_regions, int k,
                       ProbeDiagnostics* diag) {
-  const bool paged = index.is_paged();
   const DiskCounters disk_before = DiskCounters::Read(index.disk_tree());
   int64_t nodes_visited = 0;
 
   std::vector<std::vector<std::pair<uint64_t, double>>> neighbors;
   neighbors.reserve(query_regions.size());
   for (const Region& q : query_regions) {
-    WALRUS_ASSIGN_OR_RETURN(auto found, index.ProbeNearest(q.centroid, k));
-    if (!paged) nodes_visited += index.tree().last_nodes_visited();
+    int64_t visited = 0;
+    WALRUS_ASSIGN_OR_RETURN(auto found,
+                            index.ProbeNearest(q.centroid, k, &visited));
+    nodes_visited += visited;
     neighbors.push_back(std::move(found));
   }
 
@@ -363,111 +481,177 @@ void RankMatches(std::vector<QueryMatch>* matches, int top_k) {
   }
 }
 
-namespace {
+QueryRun::QueryRun(const QueryOptions& options, QueryStats* stats)
+    : options_(options),
+      stats_(stats),
+      // A trace only when the caller asked for one AND passed a stats sink
+      // to carry the spans back.
+      trace_(options.collect_trace && stats != nullptr ? &storage_ : nullptr) {}
 
-/// The matching pipeline behind every single-index query entry point:
-/// probe -> score -> rank (the query_pipeline.h stages), plus timing,
-/// metrics, and tracing. `trace`, when non-null, receives the
-/// probe/match/rank spans; callers own the extract span (they know whether
-/// extraction happened at all).
-Result<std::vector<QueryMatch>> RunMatchingPipeline(
-    const WalrusIndex& index, const std::vector<Region>& query_regions,
-    double query_area, const QueryOptions& options, QueryStats* stats,
-    QueryTrace* trace) {
+Status QueryRun::Extract(const ImageF& image, const PixelRect* scene,
+                         const WalrusParams& params) {
   WallTimer timer;
-  const QueryPathMetrics& metrics = QueryPathMetrics::Get();
-  const bool use_bbox =
-      index.params().signature_kind == RegionSignatureKind::kBoundingBox;
+  Result<ExtractedQuery> extracted =
+      scene == nullptr
+          ? ExtractQueryRegions(image, params, trace_)
+          : ExtractSceneQueryRegions(image, *scene, params, trace_);
+  WALRUS_RETURN_IF_ERROR(extracted.status());
+  query_ = std::move(*extracted);
+  use_bbox_ = params.signature_kind == RegionSignatureKind::kBoundingBox;
+  const double extract_seconds = timer.ElapsedSeconds();
+  QueryPathMetrics::Get().extract_seconds->Observe(extract_seconds);
+  if (stats_ != nullptr) stats_->extract_seconds = extract_seconds;
+  return Status::OK();
+}
 
-  // Region matching (section 5.4): one epsilon-expanded probe (or kNN
-  // lookup) per query region.
-  std::vector<CandidateImage> candidates;
-  ProbeDiagnostics diag;
+Result<std::vector<QueryMatch>> QueryRun::Compose(
+    const QueryParts& parts, std::vector<int64_t>* part_regions) {
+  const std::vector<Region>& regions = query_.regions;
+  const size_t n = parts.parts.size();
+  WALRUS_CHECK_GE(n, 1u);
+  const bool knn = options_.knn_per_region > 0 && !use_bbox_;
+
+  std::vector<PartWork> work(n);
+  const auto first_error = [&work]() -> Status {
+    for (const PartWork& w : work) WALRUS_RETURN_IF_ERROR(w.status);
+    return Status::OK();
+  };
+
+  // Phase 1: region matching (section 5.4), one probe per part.
+  int64_t regions_retrieved = 0;
+  size_t distinct_images = 0;
   double probe_seconds = 0.0;
   {
-    TraceScope probe_span(trace, "probe");
+    TraceScope probe_span(trace_, "probe");
     WallTimer probe_timer;
-    if (options.knn_per_region > 0 && !use_bbox) {
-      // kNN probing: fixed candidate budget per query region.
-      WALRUS_ASSIGN_OR_RETURN(
-          auto neighbors,
-          ProbeNearestPerRegion(index, query_regions, options.knn_per_region,
-                                &diag));
-      candidates = CandidatesFromNeighbors(neighbors);
-    } else {
-      WALRUS_ASSIGN_OR_RETURN(
-          candidates, ProbeCandidates(index, query_regions, options, &diag));
+    FanOut(parts.pool, n, [&](size_t p) {
+      ProbePart(parts.parts[p], regions, options_, knn, &work[p]);
+    });
+    WALRUS_RETURN_IF_ERROR(first_error());
+    if (knn) {
+      const size_t k = static_cast<size_t>(options_.knn_per_region);
+      regions_retrieved = MergeNearest(regions.size(), k, &work);
+    }
+    for (const PartWork& w : work) {
+      if (!knn) regions_retrieved += w.diag.regions_retrieved;
+      distinct_images += w.candidates.size();
     }
     probe_seconds = probe_timer.ElapsedSeconds();
   }
 
-  // Image matching (section 5.5).
-  std::vector<QueryMatch> matches;
+  // Phase 2: image matching (section 5.5), each part scoring its own
+  // candidates.
   double match_seconds = 0.0;
   {
-    TraceScope match_span(trace, "match");
+    TraceScope match_span(trace_, "match");
     WallTimer match_timer;
-    WALRUS_ASSIGN_OR_RETURN(
-        matches, ScoreCandidates(index, query_regions, query_area, options,
-                                 candidates));
+    FanOut(parts.pool, n, [&](size_t p) {
+      PartWork& w = work[p];
+      if (w.candidates.empty()) return;
+      auto scored = ScoreCandidates(*parts.parts[p].index, regions,
+                                    query_.query_area, options_, w.candidates);
+      if (!scored.ok()) {
+        w.status = scored.status();
+        return;
+      }
+      w.matches = std::move(*scored);
+    });
     match_seconds = match_timer.ElapsedSeconds();
   }
+  WALRUS_RETURN_IF_ERROR(first_error());
 
+  // Phase 3: parts hold disjoint images, so their matches concatenate
+  // without collisions; the rank is a total order over the union.
+  std::vector<QueryMatch> matches;
   double rank_seconds = 0.0;
   {
-    TraceScope rank_span(trace, "rank");
+    TraceScope rank_span(trace_, "rank");
     WallTimer rank_timer;
-    RankMatches(&matches, options.top_k);
+    size_t total = 0;
+    for (const PartWork& w : work) total += w.matches.size();
+    matches.reserve(total);
+    for (PartWork& w : work) {
+      matches.insert(matches.end(), std::make_move_iterator(w.matches.begin()),
+                     std::make_move_iterator(w.matches.end()));
+    }
+    RankMatches(&matches, options_.top_k);
     rank_seconds = rank_timer.ElapsedSeconds();
   }
 
+  ProbeDiagnostics total;
+  if (part_regions != nullptr) part_regions->assign(n, 0);
+  for (size_t p = 0; p < n; ++p) {
+    const ProbeDiagnostics& diag = work[p].diag;
+    total.nodes_visited += diag.nodes_visited;
+    total.pages_read += diag.pages_read;
+    total.cache_hits += diag.cache_hits;
+    total.cache_misses += diag.cache_misses;
+    if (part_regions != nullptr) (*part_regions)[p] = diag.regions_retrieved;
+  }
+
+  const double seconds = timer_.ElapsedSeconds();
+  const QueryPathMetrics& metrics = QueryPathMetrics::Get();
   metrics.queries->Increment();
   metrics.regions_retrieved->Increment(
-      static_cast<uint64_t>(diag.regions_retrieved));
-  metrics.candidate_images->Increment(candidates.size());
-  metrics.seconds->Observe(timer.ElapsedSeconds());
+      static_cast<uint64_t>(regions_retrieved));
+  metrics.candidate_images->Increment(distinct_images);
+  metrics.seconds->Observe(seconds);
   metrics.probe_seconds->Observe(probe_seconds);
   metrics.match_seconds->Observe(match_seconds);
 
-  if (stats != nullptr) {
-    stats->query_regions = static_cast<int>(query_regions.size());
-    stats->regions_retrieved = diag.regions_retrieved;
-    stats->avg_regions_per_query_region =
-        query_regions.empty()
+  if (stats_ != nullptr) {
+    stats_->query_regions = static_cast<int>(regions.size());
+    stats_->regions_retrieved = regions_retrieved;
+    stats_->avg_regions_per_query_region =
+        regions.empty()
             ? 0.0
-            : static_cast<double>(diag.regions_retrieved) /
-                  query_regions.size();
-    stats->distinct_images = static_cast<int>(candidates.size());
-    stats->seconds += timer.ElapsedSeconds();
-    stats->probe_seconds = probe_seconds;
-    stats->match_seconds = match_seconds;
-    stats->rank_seconds = rank_seconds;
-    stats->nodes_visited = diag.nodes_visited;
-    stats->pages_read = diag.pages_read;
-    stats->cache_hits = diag.cache_hits;
-    stats->cache_misses = diag.cache_misses;
+            : static_cast<double>(regions_retrieved) / regions.size();
+    stats_->distinct_images = static_cast<int>(distinct_images);
+    stats_->seconds = seconds;
+    stats_->probe_seconds = probe_seconds;
+    stats_->match_seconds = match_seconds;
+    stats_->rank_seconds = rank_seconds;
+    stats_->nodes_visited = total.nodes_visited;
+    stats_->pages_read = total.pages_read;
+    stats_->cache_hits = total.cache_hits;
+    stats_->cache_misses = total.cache_misses;
+    if (trace_ != nullptr) stats_->spans = trace_->TakeSpans();
   }
   return matches;
 }
 
-/// Picks the trace for one query: an actual trace only when the caller
-/// asked for one AND passed a stats sink to carry the spans back.
-QueryTrace* TraceFor(const QueryOptions& options, QueryStats* stats,
-                     QueryTrace* storage) {
-  return options.collect_trace && stats != nullptr ? storage : nullptr;
+Result<std::vector<QueryMatch>> QueryEngine::RunQuery(
+    const ImageF& query_image, const QueryOptions& options,
+    QueryStats* stats) const {
+  return RunAnyQuery(query_image, nullptr, options, stats);
 }
 
-}  // namespace
+Result<std::vector<QueryMatch>> QueryEngine::RunSceneQuery(
+    const ImageF& query_image, const PixelRect& scene,
+    const QueryOptions& options, QueryStats* stats) const {
+  return RunAnyQuery(query_image, &scene, options, stats);
+}
 
-Result<std::vector<QueryMatch>> ExecuteQueryWithRegions(
-    const WalrusIndex& index, const std::vector<Region>& query_regions,
-    double query_area, const QueryOptions& options, QueryStats* stats) {
-  QueryTrace storage;
-  QueryTrace* trace = TraceFor(options, stats, &storage);
-  auto result = RunMatchingPipeline(index, query_regions, query_area,
-                                    options, stats, trace);
-  if (trace != nullptr) stats->spans = trace->TakeSpans();
-  return result;
+Result<std::vector<QueryMatch>> QueryEngine::RunAnyQuery(
+    const ImageF& query_image, const PixelRect* scene,
+    const QueryOptions& options, QueryStats* stats) const {
+  QueryRun run(options, stats);
+  WALRUS_RETURN_IF_ERROR(run.Extract(query_image, scene, params()));
+  return ComposeParts(&run);
+}
+
+Result<std::vector<QueryMatch>> SingleIndexEngine::ComposeParts(
+    QueryRun* run) const {
+  QueryParts parts;
+  parts.parts.push_back({&index_});
+  return run->Compose(parts);
+}
+
+Result<std::vector<QueryMatch>> ExecuteQuery(const WalrusIndex& index,
+                                             const ImageF& query_image,
+                                             const QueryOptions& options,
+                                             QueryStats* stats) {
+  return SingleIndexEngine(index).RunQuery(query_image, options, stats);
 }
 
 Result<std::vector<QueryMatch>> ExecuteSceneQuery(const WalrusIndex& index,
@@ -475,23 +659,8 @@ Result<std::vector<QueryMatch>> ExecuteSceneQuery(const WalrusIndex& index,
                                                   const PixelRect& scene,
                                                   const QueryOptions& options,
                                                   QueryStats* stats) {
-  QueryTrace storage;
-  QueryTrace* trace = TraceFor(options, stats, &storage);
-  WallTimer timer;
-  WALRUS_ASSIGN_OR_RETURN(
-      ExtractedQuery extracted,
-      ExtractSceneQueryRegions(query_image, scene, index.params(), trace));
-  double extract_seconds = timer.ElapsedSeconds();
-  QueryPathMetrics::Get().extract_seconds->Observe(extract_seconds);
-  if (stats != nullptr) {
-    stats->seconds = extract_seconds;
-    stats->extract_seconds = extract_seconds;
-  }
-  auto result =
-      RunMatchingPipeline(index, extracted.regions, extracted.query_area,
-                          options, stats, trace);
-  if (trace != nullptr) stats->spans = trace->TakeSpans();
-  return result;
+  return SingleIndexEngine(index).RunSceneQuery(query_image, scene, options,
+                                                stats);
 }
 
 Result<std::vector<std::vector<QueryMatch>>> ExecuteQueryBatch(
@@ -529,29 +698,6 @@ Result<std::vector<std::vector<QueryMatch>>> ExecuteQueryBatch(
     const QueryOptions& options, int num_threads) {
   SingleIndexEngine engine(index);
   return ExecuteQueryBatch(engine, queries, options, num_threads);
-}
-
-Result<std::vector<QueryMatch>> ExecuteQuery(const WalrusIndex& index,
-                                             const ImageF& query_image,
-                                             const QueryOptions& options,
-                                             QueryStats* stats) {
-  QueryTrace storage;
-  QueryTrace* trace = TraceFor(options, stats, &storage);
-  WallTimer timer;
-  WALRUS_ASSIGN_OR_RETURN(
-      ExtractedQuery extracted,
-      ExtractQueryRegions(query_image, index.params(), trace));
-  double extraction_seconds = timer.ElapsedSeconds();
-  QueryPathMetrics::Get().extract_seconds->Observe(extraction_seconds);
-  if (stats != nullptr) {
-    stats->seconds = extraction_seconds;
-    stats->extract_seconds = extraction_seconds;
-  }
-  auto result =
-      RunMatchingPipeline(index, extracted.regions, extracted.query_area,
-                          options, stats, trace);
-  if (trace != nullptr) stats->spans = trace->TakeSpans();
-  return result;
 }
 
 }  // namespace walrus

@@ -48,12 +48,6 @@ struct QueryOptions {
   /// query (extract -> wavelet/cluster/assemble, probe, match, rank). Over
   /// the wire the spans ride back with the results.
   bool collect_trace = false;
-  /// Answer all query-region epsilon probes in one shared R*-tree
-  /// traversal (RStarTree::RangeQueryBatch) instead of one descent per
-  /// region. Candidates are identical either way (the batch is a set
-  /// union); this is purely a throughput knob, and in-process only: it
-  /// does not travel over the wire.
-  bool batched_probe = true;
 };
 
 /// One ranked target image.
@@ -77,23 +71,25 @@ struct QueryStats {
   double avg_regions_per_query_region = 0.0;
   /// Distinct database images containing at least one matching region.
   int distinct_images = 0;
-  /// End-to-end wall time in seconds (region extraction + probe + match).
+  /// End-to-end wall time in seconds (extract + probe + match + rank).
   double seconds = 0.0;
 
-  /// Per-stage wall time (seconds). extract covers sliding-window wavelets
-  /// + BIRCH clustering + region assembly; probe the R*-tree range/kNN
-  /// lookups with the exact centroid test; match the quick/greedy image
-  /// matcher; rank the final sort.
+  /// Per-phase wall time (seconds), the same in every engine. extract
+  /// covers sliding-window wavelets + BIRCH clustering + region assembly;
+  /// probe the R*-tree range/kNN lookups with the exact centroid test on
+  /// every part (plus the kNN top-k merge); match the quick/greedy image
+  /// matcher on every part; rank the final sort.
   double extract_seconds = 0.0;
   double probe_seconds = 0.0;
   double match_seconds = 0.0;
   double rank_seconds = 0.0;
 
-  /// Index-backend work done by this query's probes. For the in-memory
-  /// tree nodes_visited counts R*-tree nodes touched; for a paged index
-  /// pages_read / cache_hits / cache_misses are the page-IO deltas (under
-  /// concurrent queries the per-query attribution is approximate; the
-  /// process-wide truth lives in the metrics registry).
+  /// Index-backend work done by this query's probes, summed over parts.
+  /// For the in-memory tree nodes_visited counts the R*-tree nodes this
+  /// query's traversals touched (exact under concurrent queries); for a
+  /// paged index pages_read / cache_hits / cache_misses are the page-IO
+  /// deltas (under concurrent queries the per-query attribution is
+  /// approximate; the process-wide truth lives in the metrics registry).
   int64_t nodes_visited = 0;
   int64_t pages_read = 0;
   int64_t cache_hits = 0;
@@ -134,20 +130,12 @@ Result<std::vector<std::vector<QueryMatch>>> ExecuteQueryBatch(
 
 class QueryEngine;
 
-/// Batch entry point over any query engine (single index or sharded). Each
-/// query runs on its own pool thread via QueryEngine::RunQuery — engines
-/// must be thread-safe for concurrent queries (both implementations are).
+/// Batch entry point over any query engine (single index, sharded or
+/// live). Each query runs on its own pool thread via QueryEngine::RunQuery
+/// — engines must be thread-safe for concurrent queries (all are).
 Result<std::vector<std::vector<QueryMatch>>> ExecuteQueryBatch(
     const QueryEngine& engine, const std::vector<ImageF>& queries,
     const QueryOptions& options, int num_threads = 0);
-
-/// Same pipeline starting from pre-extracted query regions (lets callers
-/// reuse extraction across epsilon sweeps). `query_area` is the query image
-/// pixel count.
-Result<std::vector<QueryMatch>> ExecuteQueryWithRegions(
-    const WalrusIndex& index, const std::vector<Region>& query_regions,
-    double query_area, const QueryOptions& options,
-    QueryStats* stats = nullptr);
 
 }  // namespace walrus
 

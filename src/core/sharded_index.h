@@ -12,19 +12,22 @@
 #include "core/index.h"
 #include "core/query.h"
 #include "core/query_engine.h"
+#include "core/query_pipeline.h"
 
 namespace walrus {
 
 /// Horizontally partitioned WALRUS database: images are hash-routed across
 /// N independent WalrusIndex shards (each with its own R*-tree or paged
-/// backend), and every query fans out to all shards in parallel. Because
-/// the query pipeline's probe and score stages are deterministic in the
-/// indexed data (core/query_pipeline.h) and the final rank is a total
-/// order, a ShardedIndex returns **byte-identical rankings** to one
-/// monolithic WalrusIndex holding the same images — sharding changes only
-/// where the probe work runs. (Exception: kNN probing, where per-shard
-/// top-k lists are merged by (distance, payload); exact tie order at the
-/// k-th distance can differ from a single tree's traversal-order ties.)
+/// backend). A query is the one pipeline composition (QueryRun in
+/// core/query_pipeline.h) over N parts, one per shard: its probe phase and
+/// its match phase each fan out over the shards on the engine's pool.
+/// Because the probe and score stages are deterministic in the indexed
+/// data and the final rank is a total order, a ShardedIndex returns
+/// **byte-identical rankings** to one monolithic WalrusIndex holding the
+/// same images — sharding changes only where the work runs. (Exception:
+/// kNN probing, where per-shard top-k lists are merged by (distance,
+/// payload); exact tie order at the k-th distance can differ from a single
+/// tree's traversal-order ties.)
 ///
 /// Thread-safety: concurrent queries are safe (shards are read-only during
 /// queries, fan-out uses a per-call latch on the engine's own pool).
@@ -54,14 +57,7 @@ class ShardedIndex : public QueryEngine {
 
   // -- QueryEngine ---------------------------------------------------------
 
-  Result<std::vector<QueryMatch>> RunQuery(
-      const ImageF& query_image, const QueryOptions& options,
-      QueryStats* stats = nullptr) const override;
-
-  Result<std::vector<QueryMatch>> RunSceneQuery(
-      const ImageF& query_image, const PixelRect& scene,
-      const QueryOptions& options, QueryStats* stats = nullptr) const override;
-
+  const WalrusParams& params() const override { return params_; }
   size_t ImageCount() const override;
   size_t RegionCount() const override;
   EngineStats Stats() const override;
@@ -93,16 +89,15 @@ class ShardedIndex : public QueryEngine {
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
   const WalrusIndex& shard(int i) const { return shards_[i]; }
-  const WalrusParams& params() const { return params_; }
+
+  /// The shards as query parts, in shard order, on the fan-out pool.
+  QueryParts Parts() const;
+
+ protected:
+  Result<std::vector<QueryMatch>> ComposeParts(QueryRun* run) const override;
 
  private:
   ShardedIndex(WalrusParams params, std::vector<WalrusIndex> shards);
-
-  /// Probe + score on every shard in parallel, then merge and rank.
-  Result<std::vector<QueryMatch>> RunPipelineSharded(
-      const std::vector<Region>& query_regions, double query_area,
-      const QueryOptions& options, QueryStats* stats,
-      QueryTrace* trace) const;
 
   WalrusParams params_;
   std::vector<WalrusIndex> shards_;
@@ -111,11 +106,11 @@ class ShardedIndex : public QueryEngine {
   /// Registry mirrors: walrus.sharded.probe_regions.s<i>.
   std::vector<Counter*> shard_probe_counters_;
   /// Engine-owned fan-out pool of min(num_shards, hardware) - 1 threads
-  /// (the calling thread always runs shard 0's probe itself). Separate
-  /// from any caller pool on purpose: ThreadPool::Wait() waits for ALL
-  /// queued work, so per-query fan-out synchronizes with a per-call latch
-  /// instead, and nesting this engine under ExecuteQueryBatch's pool
-  /// cannot deadlock.
+  /// (the calling thread always runs part 0 itself); LiveIndex fans its
+  /// base shards and delta out on it too. Separate from any caller pool on
+  /// purpose: ThreadPool::Wait() waits for ALL queued work, so per-query
+  /// fan-out synchronizes with a per-call latch instead, and nesting this
+  /// engine under ExecuteQueryBatch's pool cannot deadlock.
   mutable std::unique_ptr<ThreadPool> fanout_pool_;
 };
 

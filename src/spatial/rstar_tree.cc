@@ -41,29 +41,8 @@ RStarTree::RStarTree(int dim, RStarParams params)
                params.reinsert_fraction < 0.5);
 }
 
-RStarTree::RStarTree(RStarTree&& other) noexcept
-    : dim_(other.dim_),
-      params_(other.params_),
-      size_(other.size_),
-      root_(std::move(other.root_)),
-      last_nodes_visited_(
-          other.last_nodes_visited_.load(std::memory_order_relaxed)),
-      reinserted_at_level_(std::move(other.reinserted_at_level_)) {}
-
-RStarTree& RStarTree::operator=(RStarTree&& other) noexcept {
-  if (this != &other) {
-    dim_ = other.dim_;
-    params_ = other.params_;
-    size_ = other.size_;
-    root_ = std::move(other.root_);
-    last_nodes_visited_.store(
-        other.last_nodes_visited_.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-    reinserted_at_level_ = std::move(other.reinserted_at_level_);
-  }
-  return *this;
-}
-
+RStarTree::RStarTree(RStarTree&& other) noexcept = default;
+RStarTree& RStarTree::operator=(RStarTree&& other) noexcept = default;
 RStarTree::~RStarTree() = default;
 
 int RStarTree::height() const { return root_->level + 1; }
@@ -624,7 +603,6 @@ void RStarTree::RangeSearchVisit(
       if (!e.rect.Intersects(query)) continue;
       if (node->is_leaf()) {
         if (!visitor(e.rect, e.payload)) {
-          last_nodes_visited_.store(visited, std::memory_order_relaxed);
           nodes->Increment(static_cast<uint64_t>(visited));
           return;
         }
@@ -633,11 +611,10 @@ void RStarTree::RangeSearchVisit(
       }
     }
   }
-  last_nodes_visited_.store(visited, std::memory_order_relaxed);
   nodes->Increment(static_cast<uint64_t>(visited));
 }
 
-void RStarTree::RangeQueryBatch(
+int64_t RStarTree::RangeQueryBatch(
     const std::vector<Rect>& probes,
     const std::function<bool(int, const Rect&, uint64_t)>& visitor) const {
   static Counter* const batch_probes =
@@ -663,7 +640,7 @@ void RStarTree::RangeQueryBatch(
     WALRUS_CHECK_EQ(probes[p].dim(), dim_);
     order.push_back(p);
   }
-  if (order.empty()) return;
+  if (order.empty()) return 0;
   if (order.size() > 1 && dim_ >= 2) {
     float min_v = std::numeric_limits<float>::max();
     float max_v = std::numeric_limits<float>::lowest();
@@ -705,8 +682,8 @@ void RStarTree::RangeQueryBatch(
   std::vector<Frame> pending;   // children of the current node, entry order
   int64_t visited = 0;
   const auto finish = [&] {
-    last_nodes_visited_.store(visited, std::memory_order_relaxed);
     nodes->Increment(static_cast<uint64_t>(visited));
+    return visited;
   };
 
   while (!stack.empty()) {
@@ -728,10 +705,7 @@ void RStarTree::RangeQueryBatch(
           if (kern.rect_intersects(ent.rect.lo().data(),
                                    ent.rect.hi().data(), probe.lo().data(),
                                    probe.hi().data(), dim_)) {
-            if (!visitor(p, ent.rect, ent.payload)) {
-              finish();
-              return;
-            }
+            if (!visitor(p, ent.rect, ent.payload)) return finish();
           }
         }
       } else {
@@ -774,10 +748,7 @@ void RStarTree::RangeQueryBatch(
             const int e = w * 64 + std::countr_zero(bits);
             bits &= bits - 1;
             const Entry& ent = node->entries[e];
-            if (!visitor(p, ent.rect, ent.payload)) {
-              finish();
-              return;
-            }
+            if (!visitor(p, ent.rect, ent.payload)) return finish();
           }
         }
       }
@@ -813,7 +784,7 @@ void RStarTree::RangeQueryBatch(
       }
     }
   }
-  finish();
+  return finish();
 }
 
 std::vector<uint64_t> RStarTree::RangeSearch(const Rect& query) const {
@@ -826,7 +797,7 @@ std::vector<uint64_t> RStarTree::RangeSearch(const Rect& query) const {
 }
 
 std::vector<std::pair<uint64_t, double>> RStarTree::NearestNeighbors(
-    const std::vector<float>& point, int k) const {
+    const std::vector<float>& point, int k, int64_t* nodes_visited) const {
   WALRUS_CHECK_EQ(static_cast<int>(point.size()), dim_);
   WALRUS_CHECK_GE(k, 1);
   static Counter* const probes =
@@ -876,8 +847,8 @@ std::vector<std::pair<uint64_t, double>> RStarTree::NearestNeighbors(
       }
     }
   }
-  last_nodes_visited_.store(visited, std::memory_order_relaxed);
   nodes->Increment(static_cast<uint64_t>(visited));
+  if (nodes_visited != nullptr) *nodes_visited = visited;
   return result;
 }
 

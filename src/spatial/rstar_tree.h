@@ -1,7 +1,6 @@
 #ifndef WALRUS_SPATIAL_RSTAR_TREE_H_
 #define WALRUS_SPATIAL_RSTAR_TREE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -94,24 +93,20 @@ class RStarTree {
   /// the matching probe; the set of (probe, payload) pairs delivered is
   /// exactly the union over p of RangeSearchVisit(probes[p]) results,
   /// though the delivery ORDER differs (grouped by node, not by probe).
-  /// Returning false aborts the entire batch. Thread-safe against
+  /// Returning false aborts the entire batch. Returns the number of nodes
+  /// this call visited (each node once per batch). Thread-safe against
   /// concurrent read-only searches: all traversal state is call-local.
-  void RangeQueryBatch(
+  int64_t RangeQueryBatch(
       const std::vector<Rect>& probes,
       const std::function<bool(int, const Rect&, uint64_t)>& visitor) const;
 
   /// The k entries whose rects minimize the distance to `point`
   /// (min-distance best-first search). Returns (payload, distance) pairs in
-  /// ascending distance order.
+  /// ascending distance order. `nodes_visited`, when non-null, receives the
+  /// number of nodes this call expanded.
   std::vector<std::pair<uint64_t, double>> NearestNeighbors(
-      const std::vector<float>& point, int k) const;
-
-  /// Number of tree nodes visited by the last RangeSearch / NearestNeighbors
-  /// on this tree (diagnostics for the selectivity benchmark; with
-  /// concurrent readers it reflects whichever search finished last).
-  int64_t last_nodes_visited() const {
-    return last_nodes_visited_.load(std::memory_order_relaxed);
-  }
+      const std::vector<float>& point, int k,
+      int64_t* nodes_visited = nullptr) const;
 
   /// Bounding rect of everything in the tree (empty rect when empty).
   Rect BoundingRect() const;
@@ -161,7 +156,6 @@ class RStarTree {
   RStarParams params_;
   int64_t size_ = 0;
   std::unique_ptr<Node> root_;
-  mutable std::atomic<int64_t> last_nodes_visited_{0};
 
   // Transient state for one public Insert (forced-reinsert bookkeeping).
   std::vector<bool> reinserted_at_level_;

@@ -13,7 +13,6 @@
 #include "common/crc32.h"
 #include "common/logging.h"
 #include "common/serialize.h"
-#include "common/timer.h"
 #include "core/query_pipeline.h"
 #include "storage/catalog.h"
 
@@ -40,34 +39,6 @@ struct IngestMetrics {
       m.merges = registry.GetCounter("walrus.ingest.merges");
       m.delta_images = registry.GetGauge("walrus.ingest.delta_images");
       m.tombstones = registry.GetGauge("walrus.ingest.tombstones");
-      return m;
-    }();
-    return metrics;
-  }
-};
-
-/// The live engine feeds the same walrus.query.* funnel as the other
-/// engines (the registry hands back the same instruments by name).
-struct LiveQueryMetrics {
-  Counter* queries;
-  Counter* regions_retrieved;
-  Counter* candidate_images;
-  Histogram* seconds;
-  Histogram* extract_seconds;
-
-  static const LiveQueryMetrics& Get() {
-    static const LiveQueryMetrics metrics = [] {
-      MetricsRegistry& registry = MetricsRegistry::Global();
-      std::vector<double> buckets = ExponentialBuckets(1e-6, 2.0, 36);
-      LiveQueryMetrics m;
-      m.queries = registry.GetCounter("walrus.query.count");
-      m.regions_retrieved =
-          registry.GetCounter("walrus.query.regions_retrieved");
-      m.candidate_images =
-          registry.GetCounter("walrus.query.candidate_images");
-      m.seconds = registry.GetHistogram("walrus.query.seconds", buckets);
-      m.extract_seconds =
-          registry.GetHistogram("walrus.query.extract_seconds", buckets);
       return m;
     }();
     return metrics;
@@ -523,219 +494,19 @@ Status LiveIndex::Merge() {
   return Status::OK();
 }
 
-Result<std::vector<QueryMatch>> LiveIndex::RunPipelineLive(
-    const std::vector<Region>& query_regions, double query_area,
-    const QueryOptions& options, QueryStats* stats) const {
-  WallTimer timer;
-  const LiveQueryMetrics& metrics = LiveQueryMetrics::Get();
-  const int n = base_->num_shards();
-  const bool use_bbox =
-      params_.signature_kind == RegionSignatureKind::kBoundingBox;
-  const bool knn = options.knn_per_region > 0 && !use_bbox;
-  const bool have_delta = delta_->ImageCount() > 0;
-
-  std::vector<QueryMatch> matches;
-  ProbeDiagnostics total;
-  int64_t regions_retrieved = 0;
-  size_t distinct_images = 0;
-  double probe_seconds = 0.0;
-  double match_seconds = 0.0;
-
-  auto fold_diag = [&](const ProbeDiagnostics& diag) {
-    regions_retrieved += diag.regions_retrieved;
-    total.nodes_visited += diag.nodes_visited;
-    total.pages_read += diag.pages_read;
-    total.cache_hits += diag.cache_hits;
-    total.cache_misses += diag.cache_misses;
-  };
-
-  if (knn) {
-    // Over-provision base probes so tombstoned regions cannot crowd live
-    // ones out of a shard's top-k list: at most tombstoned_regions_ dead
-    // entries can outrank any live entry, so k + that bound is exact.
-    const int k = options.knn_per_region;
-    const int k_eff = k + static_cast<int>(tombstoned_regions_);
-    const size_t num_q = query_regions.size();
-    std::vector<std::vector<std::pair<uint64_t, double>>> merged(num_q);
-    WallTimer probe_timer;
-    for (int s = 0; s < n; ++s) {
-      ProbeDiagnostics diag;
-      WALRUS_ASSIGN_OR_RETURN(
-          auto neighbors,
-          ProbeNearestPerRegion(base_->shard(s), query_regions, k_eff, &diag));
-      fold_diag(diag);
-      for (size_t qi = 0; qi < num_q; ++qi) {
-        for (const auto& [payload, distance] : neighbors[qi]) {
-          uint64_t image_id;
-          uint32_t region_id;
-          DecodeRegionPayload(payload, &image_id, &region_id);
-          if (tombstones_.count(image_id) == 0) {
-            merged[qi].emplace_back(payload, distance);
-          }
-        }
-      }
-    }
-    if (have_delta) {
-      ProbeDiagnostics diag;
-      WALRUS_ASSIGN_OR_RETURN(
-          auto neighbors,
-          ProbeNearestPerRegion(*delta_, query_regions, k, &diag));
-      fold_diag(diag);
-      for (size_t qi = 0; qi < num_q; ++qi) {
-        merged[qi].insert(merged[qi].end(), neighbors[qi].begin(),
-                          neighbors[qi].end());
-      }
-    }
-    probe_seconds = probe_timer.ElapsedSeconds();
-    // Global top-k per query region, merged by (distance, payload) — the
-    // same deterministic merge the sharded engine uses.
-    for (auto& per_region : merged) {
-      std::sort(per_region.begin(), per_region.end(),
-                [](const std::pair<uint64_t, double>& a,
-                   const std::pair<uint64_t, double>& b) {
-                  if (a.second != b.second) return a.second < b.second;
-                  return a.first < b.first;
-                });
-      if (static_cast<int>(per_region.size()) > k) per_region.resize(k);
-    }
-    std::vector<CandidateImage> candidates = CandidatesFromNeighbors(merged);
-    distinct_images = candidates.size();
-
-    WallTimer match_timer;
-    // Route each candidate to the part that indexes it: the delta wins
-    // when present (its tombstoned base predecessor was filtered above).
-    std::vector<std::vector<CandidateImage>> by_part(n + 1);
-    for (CandidateImage& candidate : candidates) {
-      if (have_delta &&
-          delta_->catalog().FindImage(candidate.image_id) != nullptr) {
-        by_part[n].push_back(std::move(candidate));
-      } else {
-        by_part[ShardedIndex::ShardOf(candidate.image_id, n)].push_back(
-            std::move(candidate));
-      }
-    }
-    for (int s = 0; s <= n; ++s) {
-      if (by_part[s].empty()) continue;
-      const WalrusIndex& part = s == n ? *delta_ : base_->shard(s);
-      WALRUS_ASSIGN_OR_RETURN(
-          std::vector<QueryMatch> part_matches,
-          ScoreCandidates(part, query_regions, query_area, options,
-                          by_part[s]));
-      matches.insert(matches.end(),
-                     std::make_move_iterator(part_matches.begin()),
-                     std::make_move_iterator(part_matches.end()));
-    }
-    match_seconds = match_timer.ElapsedSeconds();
-  } else {
-    // Epsilon mode: probe + score each part independently. Parts hold
-    // disjoint live image sets (tombstones mask base copies of delta
-    // ids), so match lists concatenate without collisions, and every
-    // stage is deterministic in its part's data — the concatenation ranks
-    // bit-identically to one offline index of the live set.
-    auto run_part = [&](const WalrusIndex& part,
-                        bool filter_tombstones) -> Status {
-      ProbeDiagnostics diag;
-      WallTimer probe_timer;
-      Result<std::vector<CandidateImage>> candidates =
-          ProbeCandidates(part, query_regions, options, &diag);
-      probe_seconds += probe_timer.ElapsedSeconds();
-      WALRUS_RETURN_IF_ERROR(candidates.status());
-      fold_diag(diag);
-      if (filter_tombstones && !tombstones_.empty()) {
-        auto dead = [&](const CandidateImage& candidate) {
-          return tombstones_.count(candidate.image_id) > 0;
-        };
-        candidates->erase(
-            std::remove_if(candidates->begin(), candidates->end(), dead),
-            candidates->end());
-      }
-      distinct_images += candidates->size();
-      WallTimer match_timer;
-      Result<std::vector<QueryMatch>> part_matches = ScoreCandidates(
-          part, query_regions, query_area, options, *candidates);
-      match_seconds += match_timer.ElapsedSeconds();
-      WALRUS_RETURN_IF_ERROR(part_matches.status());
-      matches.insert(matches.end(),
-                     std::make_move_iterator(part_matches->begin()),
-                     std::make_move_iterator(part_matches->end()));
-      return Status::OK();
-    };
-    for (int s = 0; s < n; ++s) {
-      WALRUS_RETURN_IF_ERROR(run_part(base_->shard(s), true));
-    }
-    if (have_delta) {
-      WALRUS_RETURN_IF_ERROR(run_part(*delta_, false));
-    }
-  }
-
-  double rank_seconds = 0.0;
-  {
-    WallTimer rank_timer;
-    RankMatches(&matches, options.top_k);
-    rank_seconds = rank_timer.ElapsedSeconds();
-  }
-
-  metrics.queries->Increment();
-  metrics.regions_retrieved->Increment(
-      static_cast<uint64_t>(regions_retrieved));
-  metrics.candidate_images->Increment(distinct_images);
-  metrics.seconds->Observe(timer.ElapsedSeconds());
-
-  if (stats != nullptr) {
-    stats->query_regions = static_cast<int>(query_regions.size());
-    stats->regions_retrieved = regions_retrieved;
-    stats->avg_regions_per_query_region =
-        query_regions.empty()
-            ? 0.0
-            : static_cast<double>(regions_retrieved) / query_regions.size();
-    stats->distinct_images = static_cast<int>(distinct_images);
-    stats->seconds += timer.ElapsedSeconds();
-    stats->probe_seconds = probe_seconds;
-    stats->match_seconds = match_seconds;
-    stats->rank_seconds = rank_seconds;
-    stats->nodes_visited = total.nodes_visited;
-    stats->pages_read = total.pages_read;
-    stats->cache_hits = total.cache_hits;
-    stats->cache_misses = total.cache_misses;
-  }
-  return matches;
-}
-
-Result<std::vector<QueryMatch>> LiveIndex::RunAnyQuery(
-    const ImageF& query_image, const PixelRect* scene,
-    const QueryOptions& options, QueryStats* stats) const {
-  QueryTrace storage;
-  QueryTrace* trace =
-      options.collect_trace && stats != nullptr ? &storage : nullptr;
-  WallTimer timer;
-  Result<ExtractedQuery> extracted =
-      scene != nullptr
-          ? ExtractSceneQueryRegions(query_image, *scene, params_, trace)
-          : ExtractQueryRegions(query_image, params_, trace);
-  WALRUS_RETURN_IF_ERROR(extracted.status());
-  double extract_seconds = timer.ElapsedSeconds();
-  LiveQueryMetrics::Get().extract_seconds->Observe(extract_seconds);
-  if (stats != nullptr) {
-    stats->seconds = extract_seconds;
-    stats->extract_seconds = extract_seconds;
-  }
+Result<std::vector<QueryMatch>> LiveIndex::ComposeParts(QueryRun* run) const {
   ReaderMutexLock lock(state_mu_);
-  auto result = RunPipelineLive(extracted->regions, extracted->query_area,
-                                options, stats);
-  if (trace != nullptr) stats->spans = trace->TakeSpans();
-  return result;
-}
-
-Result<std::vector<QueryMatch>> LiveIndex::RunQuery(
-    const ImageF& query_image, const QueryOptions& options,
-    QueryStats* stats) const {
-  return RunAnyQuery(query_image, nullptr, options, stats);
-}
-
-Result<std::vector<QueryMatch>> LiveIndex::RunSceneQuery(
-    const ImageF& query_image, const PixelRect& scene,
-    const QueryOptions& options, QueryStats* stats) const {
-  return RunAnyQuery(query_image, &scene, options, stats);
+  QueryParts parts = base_->Parts();
+  if (!tombstones_.empty()) {
+    for (QueryPart& part : parts.parts) {
+      part.dead = &tombstones_;
+      part.dead_regions = tombstoned_regions_;
+    }
+  }
+  // The delta is never masked: an id deleted from the base and inserted
+  // again lives in the delta while its tombstone stands.
+  if (delta_->ImageCount() > 0) parts.parts.push_back({delta_.get()});
+  return run->Compose(parts);
 }
 
 size_t LiveIndex::ImageCount() const {

@@ -40,20 +40,23 @@ namespace walrus {
 /// resets the WAL, and swaps the in-memory state — every crash point
 /// either replays into the old generation or starts clean from the new.
 ///
-/// **Ranking bit-identity.** Queries compose the public pipeline stages
-/// (core/query_pipeline.h) over base shards and delta, filtering
-/// tombstoned images before scoring. Because probe candidate sets are pure
-/// functions of the indexed data (independent of tree layout and
-/// partitioning), and RankMatches is a total order, the merged ranking is
-/// bit-identical to an offline rebuild of the same live image set — the
+/// **Ranking bit-identity.** A query is the one pipeline composition
+/// (QueryRun in core/query_pipeline.h) over N base shards plus the delta,
+/// fanned out on the base ShardedIndex's pool; the tombstones mask the base
+/// shards' copies of deleted images at probe time. Because probe candidate
+/// sets are pure functions of the indexed data (independent of tree layout
+/// and partitioning), and RankMatches is a total order, the merged ranking
+/// is bit-identical to an offline rebuild of the same live image set — the
 /// invariant the golden ingest suite pins.
 ///
 /// Thread-safety: concurrent queries, concurrent mutations, and queries
 /// concurrent with mutations are all safe. Lock order: `ingest_mu_`
-/// (serializes mutations and merges) before `state_mu_` (readers hold it
-/// across a whole query pipeline; writers only for the brief apply/swap).
-/// WAL fsync happens outside both locks so concurrent inserters share
-/// group commits.
+/// (serializes mutations and merges) before `state_mu_` (a query holds it
+/// shared across its probe, match and rank phases, after extraction;
+/// writers only for the brief apply/swap). The fan-out tasks take no lock:
+/// they read the parts the querying thread handed them, which its shared
+/// hold keeps alive. WAL fsync happens outside both locks so concurrent
+/// inserters share group commits.
 class LiveIndex : public QueryEngine, public IngestEngine {
  public:
   struct Options {
@@ -82,14 +85,7 @@ class LiveIndex : public QueryEngine, public IngestEngine {
 
   // -- QueryEngine ---------------------------------------------------------
 
-  Result<std::vector<QueryMatch>> RunQuery(
-      const ImageF& query_image, const QueryOptions& options,
-      QueryStats* stats = nullptr) const override;
-
-  Result<std::vector<QueryMatch>> RunSceneQuery(
-      const ImageF& query_image, const PixelRect& scene,
-      const QueryOptions& options, QueryStats* stats = nullptr) const override;
-
+  const WalrusParams& params() const override { return params_; }
   size_t ImageCount() const override;
   size_t RegionCount() const override;
   EngineStats Stats() const override;
@@ -120,7 +116,12 @@ class LiveIndex : public QueryEngine, public IngestEngine {
   bool ContainsImage(uint64_t image_id) const WALRUS_EXCLUDES(state_mu_);
 
   const std::string& dir() const { return dir_; }
-  const WalrusParams& params() const { return params_; }
+
+ protected:
+  /// Composes over the base shards (minus tombstones) and the delta while
+  /// holding `state_mu_` shared.
+  Result<std::vector<QueryMatch>> ComposeParts(QueryRun* run) const override
+      WALRUS_EXCLUDES(state_mu_);
 
  private:
   LiveIndex(std::string dir, WalrusParams params, Options options);
@@ -138,19 +139,6 @@ class LiveIndex : public QueryEngine, public IngestEngine {
   /// threshold and none is already queued.
   void MaybeScheduleMerge() WALRUS_EXCLUDES(merge_mu_);
 
-  /// The live composition: probe + score base shards (minus tombstones)
-  /// and delta, then rank. Caller holds the state reader lock.
-  Result<std::vector<QueryMatch>> RunPipelineLive(
-      const std::vector<Region>& query_regions, double query_area,
-      const QueryOptions& options, QueryStats* stats) const
-      WALRUS_REQUIRES_SHARED(state_mu_);
-
-  /// Shared whole-image / scene query driver around RunPipelineLive.
-  Result<std::vector<QueryMatch>> RunAnyQuery(
-      const ImageF& query_image, const PixelRect* scene,
-      const QueryOptions& options, QueryStats* stats) const
-      WALRUS_EXCLUDES(state_mu_);
-
   const std::string dir_;
   const WalrusParams params_;
   const Options options_;
@@ -160,9 +148,9 @@ class LiveIndex : public QueryEngine, public IngestEngine {
   /// Serializes mutations and merges; never held while fsyncing the WAL.
   mutable Mutex ingest_mu_ WALRUS_ACQUIRED_BEFORE(state_mu_);
 
-  /// Guards the queryable state. Query pipelines hold the reader side for
-  /// their whole probe+score+rank pass; mutations and the merge swap take
-  /// the writer side briefly.
+  /// Guards the queryable state. Queries hold the reader side for their
+  /// whole probe+match+rank pass; mutations and the merge swap take the
+  /// writer side briefly.
   mutable SharedMutex state_mu_;
   std::unique_ptr<ShardedIndex> base_ WALRUS_GUARDED_BY(state_mu_);
   std::unique_ptr<WalrusIndex> delta_ WALRUS_GUARDED_BY(state_mu_);

@@ -12,12 +12,13 @@
 namespace walrus {
 namespace {
 
-// End-to-end contract of QueryOptions::batched_probe: the batched
-// multi-probe traversal delivers candidates node-grouped instead of
-// probe-grouped, but the candidate SET is identical, and because the
-// pipeline canonicalizes candidates before matching, the ranked results
-// are byte-identical with batching on or off -- at every ISA level, on
-// in-memory and paged indexes.
+// End-to-end contract of the batched probe: the multi-probe traversal
+// filters each node's entries with the active ISA's SIMD kernels and
+// delivers candidates node-grouped, but the candidate SET is fixed by the
+// exact kernels, and because the pipeline canonicalizes candidates before
+// matching, the ranked results are byte-identical at every ISA level.
+// (RStarBatch* in tests/spatial/rstar_batch_test.cc checks the traversal
+// itself against one RangeSearchVisit per probe.)
 
 WalrusParams TestParams() {
   WalrusParams p;
@@ -67,10 +68,9 @@ class BatchedProbeEquivalence : public ::testing::Test {
     }
   }
 
-  std::vector<QueryMatch> Run(const WalrusIndex& index, bool batched) {
+  std::vector<QueryMatch> Run(const WalrusIndex& index) {
     QueryOptions options;
     options.epsilon = 0.15f;
-    options.batched_probe = batched;
     Result<std::vector<QueryMatch>> matches =
         ExecuteQuery(index, NoisyImage(64, 64, 12345), options);
     EXPECT_TRUE(matches.ok()) << matches.status();
@@ -81,26 +81,14 @@ class BatchedProbeEquivalence : public ::testing::Test {
 };
 
 TEST_F(BatchedProbeEquivalence, InMemoryResultsIdenticalAcrossIsaLevels) {
-  const std::vector<QueryMatch> baseline = Run(*index_, /*batched=*/false);
+  simd::TestOnlySetIsa(simd::IsaLevel::kScalar);
+  const std::vector<QueryMatch> baseline = Run(*index_);
   EXPECT_FALSE(baseline.empty());
   for (int l = 0; l <= static_cast<int>(simd::MaxSupportedIsa()); ++l) {
     simd::TestOnlySetIsa(static_cast<simd::IsaLevel>(l));
-    ExpectSameMatches(baseline, Run(*index_, /*batched=*/true));
-    ExpectSameMatches(baseline, Run(*index_, /*batched=*/false));
+    ExpectSameMatches(baseline, Run(*index_));
   }
   simd::TestOnlyResetIsa();
-}
-
-TEST_F(BatchedProbeEquivalence, PagedResultsIdentical) {
-  const std::string prefix = ::testing::TempDir() + "/batched_probe_paged";
-  ASSERT_TRUE(index_->SavePaged(prefix).ok());
-  Result<WalrusIndex> paged = WalrusIndex::OpenPaged(prefix);
-  ASSERT_TRUE(paged.ok()) << paged.status();
-  ASSERT_TRUE(paged->is_paged());
-
-  const std::vector<QueryMatch> baseline = Run(*index_, /*batched=*/false);
-  ExpectSameMatches(baseline, Run(*paged, /*batched=*/true));
-  ExpectSameMatches(baseline, Run(*paged, /*batched=*/false));
 }
 
 }  // namespace

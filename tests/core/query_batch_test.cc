@@ -1,3 +1,7 @@
+#include <set>
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/index.h"
@@ -98,6 +102,44 @@ TEST_F(QueryBatchTest, ErrorPropagates) {
   // replies) can attribute it without re-running the batch.
   EXPECT_NE(batch.status().message().find("query 1 of 2"), std::string::npos)
       << batch.status();
+}
+
+// Concurrent queries on one in-memory index each report the tree nodes
+// their own traversals visited: the count a query returns alone. Each
+// thread has its own query (image, epsilon or kNN), so a count borrowed
+// from another thread's search would show.
+TEST_F(QueryBatchTest, ConcurrentQueriesReportTheirOwnNodesVisited) {
+  constexpr int kThreads = 6;
+  constexpr int kRounds = 20;
+  std::vector<QueryOptions> options(kThreads);
+  std::vector<int64_t> alone(kThreads);
+  std::set<int64_t> distinct;
+  for (int t = 0; t < kThreads; ++t) {
+    options[t].epsilon = 0.03f + 0.04f * static_cast<float>(t);
+    if (t % 2 == 1) options[t].knn_per_region = 2 * t;
+    const ImageF& image = dataset_[t].image;
+    QueryStats stats;
+    ASSERT_TRUE(ExecuteQuery(*index_, image, options[t], &stats).ok());
+    alone[t] = stats.nodes_visited;
+    EXPECT_GT(alone[t], 0) << t;
+    distinct.insert(alone[t]);
+  }
+  EXPECT_GT(distinct.size(), 2u);
+
+  std::vector<int> wrong(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const ImageF& image = dataset_[t].image;
+      for (int round = 0; round < kRounds; ++round) {
+        QueryStats stats;
+        const bool ok = ExecuteQuery(*index_, image, options[t], &stats).ok();
+        if (!ok || stats.nodes_visited != alone[t]) ++wrong[t];
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(wrong[t], 0) << t;
 }
 
 }  // namespace

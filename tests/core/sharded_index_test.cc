@@ -1,15 +1,21 @@
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "core/index.h"
 #include "core/query.h"
+#include "core/query_engine.h"
 #include "core/sharded_index.h"
+#include "fresh_dir.h"
 #include "image/dataset.h"
+#include "wal/live_index.h"
 
 namespace walrus {
 namespace {
@@ -35,6 +41,45 @@ void ExpectIdenticalRankings(const std::vector<QueryMatch>& a,
         << context << " rank " << i;
     EXPECT_EQ(a[i].pairs_used, b[i].pairs_used) << context << " rank " << i;
   }
+}
+
+/// Samples recorded so far in one of the walrus.query.* histograms.
+uint64_t QueryHistogramCount(const std::string& name) {
+  Histogram* histogram = MetricsRegistry::Global().GetHistogram(
+      name, ExponentialBuckets(1e-6, 2.0, 36));
+  return histogram->Snapshot().count;
+}
+
+/// One traced query through `engine`, checked against the contract every
+/// engine shares: exactly the top-level spans extract, probe, match and
+/// rank, one sample each in walrus.query.probe_seconds and
+/// walrus.query.match_seconds, and spans covering at least 95% of
+/// stats.seconds (the best of three tries, so one preemption between two
+/// spans cannot fail the run). Returns the stats of the last try.
+QueryStats TracedQuery(const QueryEngine& engine, const ImageF& image,
+                       QueryOptions options, const std::string& context) {
+  const std::vector<std::string> kSpans = {"extract", "probe", "match", "rank"};
+  options.collect_trace = true;
+  QueryStats stats;
+  double best_coverage = 0.0;
+  for (int attempt = 0; attempt < 3 && best_coverage < 0.95; ++attempt) {
+    const uint64_t probes = QueryHistogramCount("walrus.query.probe_seconds");
+    const uint64_t matches = QueryHistogramCount("walrus.query.match_seconds");
+    stats = QueryStats();
+    auto result = engine.RunQuery(image, options, &stats);
+    EXPECT_TRUE(result.ok()) << context << ": " << result.status();
+    EXPECT_EQ(QueryHistogramCount("walrus.query.probe_seconds"), probes + 1)
+        << context;
+    EXPECT_EQ(QueryHistogramCount("walrus.query.match_seconds"), matches + 1)
+        << context;
+    std::vector<std::string> names;
+    for (const TraceSpan& span : stats.spans) names.push_back(span.name);
+    EXPECT_EQ(names, kSpans) << context;
+    const double coverage = TraceCoverageSeconds(stats.spans) / stats.seconds;
+    best_coverage = std::max(best_coverage, coverage);
+  }
+  EXPECT_GE(best_coverage, 0.95) << context;
+  return stats;
 }
 
 class ShardedIndexTest : public ::testing::Test {
@@ -171,27 +216,88 @@ TEST_F(ShardedIndexTest, KnnQueriesReturnSameImageSet) {
   }
 }
 
+// Engine parity: a single index, a 4-shard ShardedIndex and a LiveIndex
+// (3 base shards, a non-empty delta, one tombstone) answer a traced query
+// with the same spans and metrics, and with the probe stats of a single
+// index holding the same live images, in epsilon and kNN mode.
 TEST_F(ShardedIndexTest, StatsAggregateAcrossShards) {
-  QueryOptions options;
-  options.epsilon = 0.12f;
+  SingleIndexEngine single(*single_);
   ShardedIndex sharded = MakeSharded(4);
-  QueryStats sharded_stats;
-  auto got = sharded.RunQuery(dataset_[0].image, options, &sharded_stats);
-  ASSERT_TRUE(got.ok());
-  QueryStats single_stats;
-  auto expected =
-      ExecuteQuery(*single_, dataset_[0].image, options, &single_stats);
-  ASSERT_TRUE(expected.ok());
-  // Same probes run, just spread across trees.
-  EXPECT_EQ(sharded_stats.query_regions, single_stats.query_regions);
-  EXPECT_EQ(sharded_stats.regions_retrieved, single_stats.regions_retrieved);
-  EXPECT_EQ(sharded_stats.distinct_images, single_stats.distinct_images);
 
+  // Live: images 0..11 seed the base, image 3 is deleted (a tombstone),
+  // images 12.. are inserted into the delta.
+  constexpr size_t kBaseImages = 12;
+  constexpr size_t kDeleted = 3;
+  WalrusIndex seed(TestParams());
+  WalrusIndex live_images(TestParams());
+  for (size_t i = 0; i < dataset_.size(); ++i) {
+    const uint64_t id = static_cast<uint64_t>(dataset_[i].id);
+    if (i < kBaseImages) {
+      ASSERT_TRUE(seed.AddImage(id, "img", dataset_[i].image).ok());
+    }
+    if (i != kDeleted) {
+      ASSERT_TRUE(live_images.AddImage(id, "img", dataset_[i].image).ok());
+    }
+  }
+  LiveIndex::Options live_options;
+  live_options.num_shards = 3;
+  live_options.merge_threshold = 0;
+  auto live = LiveIndex::Open(FreshDir("engine_parity_live"), TestParams(),
+                              live_options, &seed);
+  ASSERT_TRUE(live.ok()) << live.status();
+  const uint64_t deleted_id = static_cast<uint64_t>(dataset_[kDeleted].id);
+  ASSERT_TRUE((*live)->DeleteImage(deleted_id).ok());
+  for (size_t i = kBaseImages; i < dataset_.size(); ++i) {
+    const uint64_t id = static_cast<uint64_t>(dataset_[i].id);
+    ASSERT_TRUE((*live)->InsertImage(id, "img", dataset_[i].image).ok());
+  }
+  SingleIndexEngine live_reference(live_images);
+
+  struct Engine {
+    const char* name;
+    const QueryEngine* engine;
+    const QueryEngine* reference;  // a single index of the same images
+  };
+  const Engine engines[] = {
+      {"single", &single, &single},
+      {"sharded", &sharded, &single},
+      {"live", live->get(), &live_reference},
+  };
+  QueryOptions epsilon_mode;
+  epsilon_mode.epsilon = 0.12f;
+  QueryOptions knn_mode;
+  knn_mode.knn_per_region = 4;
+  for (const QueryOptions& options : {epsilon_mode, knn_mode}) {
+    const std::string mode = options.knn_per_region > 0 ? "knn" : "epsilon";
+    for (int q = 0; q < 3; ++q) {
+      const ImageF& image = dataset_[static_cast<size_t>(q)].image;
+      for (const Engine& e : engines) {
+        const std::string context =
+            std::string(e.name) + " " + mode + " q=" + std::to_string(q);
+        QueryStats want;
+        ASSERT_TRUE(e.reference->RunQuery(image, options, &want).ok());
+        QueryStats got = TracedQuery(*e.engine, image, options, context);
+        EXPECT_EQ(got.query_regions, want.query_regions) << context;
+        EXPECT_EQ(got.regions_retrieved, want.regions_retrieved) << context;
+        EXPECT_EQ(got.distinct_images, want.distinct_images) << context;
+        EXPECT_GT(got.regions_retrieved, 0) << context;
+      }
+    }
+  }
+
+  // Per-shard probe counters add up to what the shards retrieved.
+  const ImageF& first = dataset_[0].image;
+  QueryStats single_stats;
+  ASSERT_TRUE(single.RunQuery(first, epsilon_mode, &single_stats).ok());
+  const EngineStats before = sharded.Stats();
+  ASSERT_TRUE(sharded.RunQuery(first, epsilon_mode).ok());
   EngineStats engine_stats = sharded.Stats();
   EXPECT_EQ(engine_stats.num_shards, 4);
   ASSERT_EQ(engine_stats.shard_probes.size(), 4u);
   uint64_t total = 0;
-  for (uint64_t p : engine_stats.shard_probes) total += p;
+  for (int s = 0; s < 4; ++s) {
+    total += engine_stats.shard_probes[s] - before.shard_probes[s];
+  }
   EXPECT_EQ(total, static_cast<uint64_t>(single_stats.regions_retrieved));
 }
 

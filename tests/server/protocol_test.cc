@@ -105,7 +105,6 @@ TEST(ProtocolTest, QueryOptionsRoundTrip) {
   options.top_k = 9;
   options.collect_pairs = true;
   options.collect_trace = true;
-  options.batched_probe = false;  // in-process only: not encoded
 
   BinaryWriter writer;
   EncodeQueryOptions(options, &writer);
@@ -122,7 +121,6 @@ TEST(ProtocolTest, QueryOptionsRoundTrip) {
   EXPECT_EQ(decoded->top_k, options.top_k);
   EXPECT_EQ(decoded->collect_pairs, options.collect_pairs);
   EXPECT_EQ(decoded->collect_trace, options.collect_trace);
-  EXPECT_EQ(decoded->batched_probe, QueryOptions().batched_probe);
   EXPECT_EQ(reader.remaining(), 0u);
 }
 

@@ -153,15 +153,12 @@ TEST(RStarBatch, NodesVisitedIsDeduplicated) {
     tree.Insert(rect, payload);
   }
   std::vector<Rect> probes = RandomProbes(12, dim, 100);
+  const auto visit_all = [](int, const Rect&, uint64_t) { return true; };
   int64_t sum_single = 0;
   for (const Rect& probe : probes) {
-    tree.RangeSearchVisit(probe, [](const Rect&, uint64_t) { return true; });
-    sum_single += tree.last_nodes_visited();
+    sum_single += tree.RangeQueryBatch({probe}, visit_all);
   }
-  tree.RangeQueryBatch(probes, [](int, const Rect&, uint64_t) {
-    return true;
-  });
-  const int64_t batch_visited = tree.last_nodes_visited();
+  const int64_t batch_visited = tree.RangeQueryBatch(probes, visit_all);
   EXPECT_GT(batch_visited, 0);
   // Shared traversal: a node serving k probes is visited once, not k times.
   EXPECT_LE(batch_visited, sum_single);

@@ -345,8 +345,10 @@ TEST_F(LiveIndexTest, V2WalHeaderIsCorruption) {
       << reopened.status();
 }
 
-// TSan soak: readers query while a writer live-inserts images and the
-// merge threshold forces background base/delta swaps mid-soak.
+// TSan soak: readers query while a writer live-inserts images and deletes
+// seed images, and the merge threshold forces background base/delta swaps
+// mid-soak. Three base shards give the query fan-out a pool, so its tasks
+// read the delta and the tombstones while merges swap the state.
 TEST_F(LiveIndexTest, ConcurrentLiveInsertsAndQueries) {
   std::string dir = FreshDir("live_soak");
   constexpr int kSeedImages = 8;
@@ -354,38 +356,49 @@ TEST_F(LiveIndexTest, ConcurrentLiveInsertsAndQueries) {
   for (int id = 0; id < kSeedImages; ++id) seed_ids.push_back(id);
   std::unique_ptr<WalrusIndex> seed = BuildOffline(seed_ids);
   LiveIndex::Options live_options;
+  live_options.num_shards = 3;
   live_options.merge_threshold = 3;
   auto live = LiveIndex::Open(dir, TestParams(), live_options, seed.get());
   ASSERT_TRUE(live.ok()) << live.status();
 
   QueryOptions options;
   options.epsilon = 0.12f;
+  QueryOptions knn;  // odd readers: the kNN merge over masked parts
+  knn.knn_per_region = 3;
   constexpr int kReaders = 6;
   std::vector<std::thread> threads;
   std::vector<int> failures(kReaders + 1, 0);
   for (int t = 0; t < kReaders; ++t) {
     threads.emplace_back([&, t] {
+      const QueryOptions& mode = t % 2 == 1 ? knn : options;
       for (int q = 0; q < 12; ++q) {
         const ImageF& image = dataset_[(t + q) % dataset_.size()].image;
         QueryStats stats;
-        auto result = (*live)->RunQuery(image, options, &stats);
+        auto result = (*live)->RunQuery(image, mode, &stats);
         if (!result.ok()) ++failures[t];
       }
     });
   }
+  // Each insert is followed by the delete of one seed image (0, 2, 4).
+  constexpr int kDeletes = 3;
   threads.emplace_back([&] {
     for (int id = kSeedImages; id < static_cast<int>(dataset_.size()); ++id) {
       Status status = (*live)->InsertImage(
           static_cast<uint64_t>(id), "img",
           dataset_[static_cast<size_t>(id)].image);
       if (!status.ok()) ++failures[kReaders];
+      const int victim = 2 * (id - kSeedImages);
+      if (victim < 2 * kDeletes &&
+          !(*live)->DeleteImage(static_cast<uint64_t>(victim)).ok()) {
+        ++failures[kReaders];
+      }
     }
   });
   for (std::thread& t : threads) t.join();
   for (size_t t = 0; t < failures.size(); ++t) EXPECT_EQ(failures[t], 0) << t;
 
   (*live)->WaitForMerge();
-  EXPECT_EQ((*live)->ImageCount(), dataset_.size());
+  EXPECT_EQ((*live)->ImageCount(), dataset_.size() - kDeletes);
 }
 
 TEST_F(LiveIndexTest, ManifestRoundTripAndCorruptionDetection) {
