@@ -73,47 +73,6 @@ void BM_RStarNearestNeighbors(benchmark::State& state) {
 }
 BENCHMARK(BM_RStarNearestNeighbors)->Arg(1)->Arg(10)->Arg(100);
 
-void BM_RStarSplitPolicy(benchmark::State& state) {
-  // Build + probe under each split policy (0 = R*, 1 = quadratic/no
-  // reinsert). Clustered data emphasizes split quality.
-  RStarParams params;
-  if (state.range(0) == 1) {
-    params.split_policy = SplitPolicy::kQuadratic;
-    params.use_forced_reinsert = false;
-  }
-  Rng rng(11);
-  RStarTree tree(2, params);
-  for (int i = 0; i < 20000; ++i) {
-    int blob = rng.NextInt(0, 49);
-    std::vector<float> p = {(blob % 7) / 7.0f + 0.04f * rng.NextFloat(),
-                            (blob / 7) / 7.0f + 0.04f * rng.NextFloat()};
-    tree.Insert(Rect::Point(p), static_cast<uint64_t>(i));
-  }
-  std::vector<Rect> probes;
-  for (int i = 0; i < 64; ++i) {
-    std::vector<float> lo = {rng.NextFloat() * 0.9f, rng.NextFloat() * 0.9f};
-    probes.push_back(Rect::Bounds(lo, {lo[0] + 0.06f, lo[1] + 0.06f}));
-  }
-  size_t qi = 0;
-  int64_t nodes = 0;
-  int64_t queries = 0;
-  int64_t hits = 0;
-  const auto count_hit = [&hits](int, const Rect&, uint64_t) {
-    ++hits;
-    return true;
-  };
-  for (auto _ : state) {
-    nodes += tree.RangeQueryBatch({probes[qi]}, count_hit);
-    benchmark::DoNotOptimize(hits);
-    ++queries;
-    qi = (qi + 1) % probes.size();
-  }
-  state.SetLabel(state.range(0) == 1 ? "quadratic" : "rstar");
-  state.counters["nodes/query"] =
-      static_cast<double>(nodes) / std::max<int64_t>(1, queries);
-}
-BENCHMARK(BM_RStarSplitPolicy)->Arg(0)->Arg(1);
-
 void BM_RStarSerialize(benchmark::State& state) {
   Rng rng(4);
   RStarTree tree(12);

@@ -150,12 +150,8 @@ int CmdInfo(int argc, char** argv) {
   const walrus::WalrusParams& p = index->params();
   std::printf("images:        %zu\n", index->ImageCount());
   std::printf("regions:       %zu\n", index->RegionCount());
-  if (index->is_paged()) {
-    std::printf("tree height:   %d (on disk)\n",
-                index->disk_tree()->height());
-  } else {
-    std::printf("tree height:   %d\n", index->tree().height());
-  }
+  std::printf("tree height:   %d%s\n", index->tree().height(),
+              index->is_paged() ? " (mapped)" : "");
   std::printf("color space:   %s\n", walrus::ColorSpaceName(p.color_space));
   std::printf("signature:     %dx%d per channel (%d dims)\n",
               p.signature_size, p.signature_size, p.SignatureDim());

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -155,6 +156,7 @@ Status WalrusIndex::AddImageRecord(ImageRecord record) {
 
 Status WalrusIndex::AddImages(std::vector<PendingImage> images,
                               int num_threads) {
+  if (is_paged()) return Status::Unimplemented("paged index is read-only");
   if (images.empty()) return Status::OK();
   // Validate ids up front so the batch can be atomic.
   std::unordered_set<uint64_t> seen;
@@ -218,6 +220,7 @@ Status WalrusIndex::AddImages(std::vector<PendingImage> images,
 }
 
 Status WalrusIndex::RemoveImage(uint64_t image_id) {
+  if (is_paged()) return Status::Unimplemented("paged index is read-only");
   const ImageRecord* record = catalog_.FindImage(image_id);
   if (record == nullptr) {
     return Status::NotFound("image id " + std::to_string(image_id));
@@ -331,12 +334,8 @@ Result<WalrusParams> DeserializeParams(BinaryReader* reader) {
 
 Status WalrusIndex::ProbeRangeBatch(
     const std::vector<Rect>& probes,
-    const std::function<bool(int, const Rect&, uint64_t)>& visitor,
+    const std::function<bool(int, const RectView&, uint64_t)>& visitor,
     int64_t* nodes_visited) const {
-  if (nodes_visited != nullptr) *nodes_visited = 0;
-  if (disk_tree_.has_value()) {
-    return disk_tree_->RangeQueryBatch(probes, visitor);
-  }
   const int64_t visited = tree_.RangeQueryBatch(probes, visitor);
   if (nodes_visited != nullptr) *nodes_visited = visited;
   return Status::OK();
@@ -344,10 +343,6 @@ Status WalrusIndex::ProbeRangeBatch(
 
 Result<std::vector<std::pair<uint64_t, double>>> WalrusIndex::ProbeNearest(
     const std::vector<float>& point, int k, int64_t* nodes_visited) const {
-  if (nodes_visited != nullptr) *nodes_visited = 0;
-  if (disk_tree_.has_value()) {
-    return disk_tree_->NearestNeighbors(point, k);
-  }
   return tree_.NearestNeighbors(point, k, nodes_visited);
 }
 
@@ -381,10 +376,22 @@ Status WalrusIndex::ValidateConsistency() const {
     }
   }
 
-  // Sweep the spatial backend and tick entries off against the catalog;
-  // erasing as we match also catches duplicate tree entries.
+  // Sweep the tree and tick entries off against the catalog; erasing as
+  // we match also catches duplicate tree entries.
+  WALRUS_RETURN_IF_ERROR(tree_.Validate());
+  if (tree_.size() != static_cast<int64_t>(expected.size())) {
+    return Status::Internal("index: tree holds " +
+                            std::to_string(tree_.size()) +
+                            " entries, catalog has " +
+                            std::to_string(expected.size()) + " regions");
+  }
   Status mismatch = Status::OK();
-  auto visitor = [&](const Rect& rect, uint64_t payload) {
+  const int dim = params_.SignatureDim();
+  const Rect everything = Rect::Bounds(
+      std::vector<float>(dim, std::numeric_limits<float>::lowest()),
+      std::vector<float>(dim, std::numeric_limits<float>::max()));
+  tree_.RangeSearchVisit(everything, [&](const RectView& rect,
+                                         uint64_t payload) {
     auto it = by_payload.find(payload);
     if (it == by_payload.end()) {
       mismatch = Status::Internal("index: tree entry with payload " +
@@ -392,7 +399,7 @@ Status WalrusIndex::ValidateConsistency() const {
                                   " has no catalog region (or is duplicated)");
       return false;
     }
-    if (!(rect == *it->second)) {
+    if (!(rect.ToRect() == *it->second)) {
       mismatch = Status::Internal(
           "index: tree rect differs from catalog signature for payload " +
           std::to_string(payload));
@@ -400,30 +407,7 @@ Status WalrusIndex::ValidateConsistency() const {
     }
     by_payload.erase(it);
     return true;
-  };
-  int dim = params_.SignatureDim();
-  Rect everything =
-      Rect::Bounds(std::vector<float>(dim, std::numeric_limits<float>::lowest()),
-                   std::vector<float>(dim, std::numeric_limits<float>::max()));
-  if (disk_tree_.has_value()) {
-    WALRUS_RETURN_IF_ERROR(disk_tree_->Validate());
-    if (disk_tree_->size() != static_cast<int64_t>(expected.size())) {
-      return Status::Internal(
-          "index: page tree holds " + std::to_string(disk_tree_->size()) +
-          " entries, catalog has " + std::to_string(expected.size()) +
-          " regions");
-    }
-    WALRUS_RETURN_IF_ERROR(disk_tree_->RangeSearchVisit(everything, visitor));
-  } else {
-    WALRUS_RETURN_IF_ERROR(tree_.Validate());
-    if (tree_.size() != static_cast<int64_t>(expected.size())) {
-      return Status::Internal(
-          "index: tree holds " + std::to_string(tree_.size()) +
-          " entries, catalog has " + std::to_string(expected.size()) +
-          " regions");
-    }
-    tree_.RangeSearchVisit(everything, visitor);
-  }
+  });
   WALRUS_RETURN_IF_ERROR(mismatch);
   if (!by_payload.empty()) {
     return Status::Internal("index: " + std::to_string(by_payload.size()) +
@@ -438,12 +422,7 @@ Status WalrusIndex::SavePaged(const std::string& path_prefix) const {
   SerializeParams(params_, &writer);
   WALRUS_RETURN_IF_ERROR(
       WriteFileBytes(path_prefix + ".pmeta", writer.buffer()));
-  WALRUS_ASSIGN_OR_RETURN(
-      DiskRStarTree tree,
-      DiskRStarTree::Build(path_prefix + ".ptree", params_.SignatureDim(),
-                           CatalogEntries()));
-  (void)tree;
-  return Status::OK();
+  return tree_.WriteFile(path_prefix + ".ptree");
 }
 
 Result<WalrusIndex> WalrusIndex::OpenPaged(const std::string& path_prefix) {
@@ -451,8 +430,8 @@ Result<WalrusIndex> WalrusIndex::OpenPaged(const std::string& path_prefix) {
                           ReadFileBytes(path_prefix + ".pmeta"));
   BinaryReader reader(bytes);
   WALRUS_ASSIGN_OR_RETURN(WalrusParams params, DeserializeParams(&reader));
-  WALRUS_ASSIGN_OR_RETURN(DiskRStarTree tree,
-                          DiskRStarTree::Open(path_prefix + ".ptree"));
+  WALRUS_ASSIGN_OR_RETURN(RStarTree tree,
+                          RStarTree::OpenMapped(path_prefix + ".ptree"));
   if (tree.dim() != params.SignatureDim()) {
     return Status::Corruption("paged index: tree/params dimension mismatch");
   }
@@ -461,7 +440,7 @@ Result<WalrusIndex> WalrusIndex::OpenPaged(const std::string& path_prefix) {
   WALRUS_RETURN_IF_ERROR(ValidateCatalog(catalog, params));
   WalrusIndex index(params);
   index.catalog_ = std::move(catalog);
-  index.disk_tree_.emplace(std::move(tree));
+  index.tree_ = std::move(tree);
   return index;
 }
 
@@ -478,7 +457,10 @@ Result<WalrusIndex> WalrusIndex::Open(const std::string& path_prefix) {
                           ReadFileBytes(path_prefix + ".index"));
   BinaryReader reader(bytes);
   WALRUS_ASSIGN_OR_RETURN(WalrusParams params, DeserializeParams(&reader));
-  WALRUS_ASSIGN_OR_RETURN(RStarTree tree, RStarTree::Deserialize(&reader));
+  WALRUS_ASSIGN_OR_RETURN(
+      RStarTree tree,
+      RStarTree::Deserialize(
+          std::span<const uint8_t>(bytes).subspan(reader.position())));
   if (tree.dim() != params.SignatureDim()) {
     return Status::Corruption("index: tree/params dimension mismatch");
   }

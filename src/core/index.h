@@ -11,9 +11,6 @@
 #include "image/image.h"
 #include "spatial/rstar_tree.h"
 #include "storage/catalog.h"
-#include "storage/disk_rstar.h"
-
-#include <optional>
 
 namespace walrus {
 
@@ -55,36 +52,26 @@ class WalrusIndex {
   const WalrusParams& params() const { return params_; }
   /// Image + region metadata store (names, areas, signatures, bitmaps).
   const Catalog& catalog() const { return catalog_; }
-  /// The in-memory R*-tree. Empty when the index was opened paged
-  /// (is_paged()); use ProbeRangeBatch/ProbeNearest, which dispatch
-  /// correctly.
+  /// The region R*-tree: a heap arena, or a read-only file mapping when
+  /// the index was opened paged.
   const RStarTree& tree() const { return tree_; }
 
-  /// True when region probes are served from the on-disk page tree.
-  bool is_paged() const { return disk_tree_.has_value(); }
-
-  /// The paged backend, or nullptr for in-memory indexes (IO diagnostics).
-  const DiskRStarTree* disk_tree() const {
-    return disk_tree_.has_value() ? &*disk_tree_ : nullptr;
-  }
-  /// Mutable access to the paged backend (cache-capacity tuning).
-  DiskRStarTree* disk_tree() {
-    return disk_tree_.has_value() ? &*disk_tree_ : nullptr;
-  }
+  /// True when the tree is the mapping of a `.ptree` file (OpenPaged); the
+  /// index is then read-only.
+  bool is_paged() const { return tree_.is_mapped(); }
 
   /// Region-signature probe: streams every indexed region whose rect
   /// intersects one of `probes`, all probes in one shared tree traversal
-  /// (see RStarTree::RangeQueryBatch), in-memory or paged backend. The
-  /// visitor's first argument is the index into `probes` of the matching
-  /// probe. `nodes_visited`, when non-null, receives the in-memory tree
-  /// nodes this call touched (0 when paged).
+  /// (see RStarTree::RangeQueryBatch). The visitor's first argument is the
+  /// index into `probes` of the matching probe. `nodes_visited`, when
+  /// non-null, receives the tree nodes this call touched.
   [[nodiscard]] Status ProbeRangeBatch(
       const std::vector<Rect>& probes,
-      const std::function<bool(int, const Rect&, uint64_t)>& visitor,
+      const std::function<bool(int, const RectView&, uint64_t)>& visitor,
       int64_t* nodes_visited = nullptr) const;
 
-  /// k nearest region signatures to `point` (centroid mode).
-  /// `nodes_visited` as for ProbeRangeBatch.
+  /// k nearest region signatures to `point` (centroid mode), ordered by
+  /// (distance, payload). `nodes_visited` as for ProbeRangeBatch.
   [[nodiscard]] Result<std::vector<std::pair<uint64_t, double>>> ProbeNearest(
       const std::vector<float>& point, int k,
       int64_t* nodes_visited = nullptr) const;
@@ -100,7 +87,8 @@ class WalrusIndex {
                   const ImageF& image, ExtractionStats* stats = nullptr);
 
   /// Removes an indexed image: its catalog record and every one of its
-  /// region entries in the R*-tree. NotFound when the id is not indexed.
+  /// region entries in the R*-tree. NotFound when the id is not indexed;
+  /// Unimplemented on a paged (read-only) index.
   [[nodiscard]] Status RemoveImage(uint64_t image_id);
 
   /// Region extraction + record assembly without touching any index: the
@@ -131,7 +119,8 @@ class WalrusIndex {
   /// Adds a batch of images, running region extraction (the expensive part:
   /// wavelets + clustering) across `num_threads` workers and then inserting
   /// serially. 0 threads = hardware concurrency. The batch is atomic: on
-  /// any extraction failure or duplicate id nothing is added.
+  /// any extraction failure or duplicate id nothing is added. Unimplemented
+  /// on a paged (read-only) index.
   [[nodiscard]] Status AddImages(std::vector<PendingImage> images,
                                  int num_threads = 0);
 
@@ -152,33 +141,37 @@ class WalrusIndex {
   [[nodiscard]] Result<double> ImageArea(uint64_t image_id) const;
 
   /// Persists to `<path_prefix>.catalog` (page file) and
-  /// `<path_prefix>.index` (params + R*-tree).
+  /// `<path_prefix>.index` (params + the R*-tree's file image).
   [[nodiscard]] Status Save(const std::string& path_prefix) const;
 
-  /// Loads an index previously written by Save. Corruption when a catalog
-  /// record fails ValidateImageRecord.
+  /// Loads an index previously written by Save into a heap tree.
+  /// Corruption when the tree image is damaged (see
+  /// RStarTree::Deserialize) or a catalog record fails
+  /// ValidateImageRecord.
   [[nodiscard]] static Result<WalrusIndex> Open(const std::string& path_prefix);
 
-  /// Persists with a disk-resident page tree instead of the serialized
-  /// in-memory tree: `<path_prefix>.catalog`, `<path_prefix>.pmeta`
-  /// (params) and `<path_prefix>.ptree` (one R-tree node per page). An
-  /// index opened with OpenPaged answers queries by reading tree pages
-  /// through an LRU cache -- the paper's "disk-based index" deployment.
+  /// Persists for paged serving: `<path_prefix>.catalog`,
+  /// `<path_prefix>.pmeta` (params) and `<path_prefix>.ptree` (this
+  /// index's tree, the same file image Save embeds). The tree file is
+  /// renamed into place, so re-saving a prefix never truncates a file that
+  /// an open paged index has mapped.
   [[nodiscard]] Status SavePaged(const std::string& path_prefix) const;
 
-  /// Opens a paged index written by SavePaged. The returned index is
-  /// read-only: AddImage/RemoveImage on it fail the id checks as usual but
-  /// the page tree never changes. Catalog records are validated as in Open.
+  /// Opens an index written by SavePaged with its tree mapped read-only
+  /// from the `.ptree` file: probes read nodes straight from the mapping,
+  /// the paper's "disk-based index" deployment. The file is checked at
+  /// open (Corruption on damage); the returned index is read-only
+  /// (AddImageRecord, AddImages and RemoveImage answer Unimplemented).
+  /// Catalog records are validated as in Open.
   [[nodiscard]] static Result<WalrusIndex> OpenPaged(
       const std::string& path_prefix);
 
   /// Deep cross-layer validation: the catalog's own invariants
-  /// (Catalog::Validate), the spatial backend's own invariants
-  /// (RStarTree::Validate or DiskRStarTree::Validate, including the page
-  /// checksum sweep when paged), and the bridge between them -- every
-  /// region signature in the catalog must appear in the tree exactly once
-  /// with the same rect and payload, and vice versa. O(index size);
-  /// invoked from tests and, when DeepChecksEnabled(), after mutations.
+  /// (Catalog::Validate), the tree's own invariants (RStarTree::Validate),
+  /// and the bridge between them -- every region signature in the catalog
+  /// must appear in the tree exactly once with the same rect and payload,
+  /// and vice versa. O(index size); invoked from tests and, when
+  /// DeepChecksEnabled(), after mutations.
   [[nodiscard]] Status ValidateConsistency() const;
 
  private:
@@ -189,7 +182,6 @@ class WalrusIndex {
   WalrusParams params_;
   Catalog catalog_;
   RStarTree tree_;
-  std::optional<DiskRStarTree> disk_tree_;
 };
 
 /// Serializes params (used by Save/Open; exposed for tests).

@@ -58,23 +58,6 @@ struct QueryPathMetrics {
   }
 };
 
-/// Paged-backend IO counters at a point in time (for per-query deltas).
-struct DiskCounters {
-  int64_t pages_read = 0;
-  int64_t cache_hits = 0;
-  int64_t cache_misses = 0;
-
-  static DiskCounters Read(const DiskRStarTree* disk) {
-    DiskCounters c;
-    if (disk != nullptr) {
-      c.pages_read = disk->pages_read();
-      c.cache_hits = disk->cache_hits();
-      c.cache_misses = disk->cache_misses();
-    }
-    return c;
-  }
-};
-
 /// One accepted probe hit, recorded flat during traversal (a plain vector
 /// push per hit; the by-image grouping happens once at the end, not per
 /// candidate).
@@ -295,12 +278,10 @@ Result<std::vector<CandidateImage>> ProbeCandidates(
       "walrus.probe.batch_size", ExponentialBuckets(1, 2, 12));
   const bool use_bbox =
       index.params().signature_kind == RegionSignatureKind::kBoundingBox;
-  const DiskCounters disk_before = DiskCounters::Read(index.disk_tree());
   int64_t regions_retrieved = 0;
 
   // Every region's envelope goes down ONE shared traversal (Hilbert-ordered
-  // active sets, per-node SIMD filtering); a one-region query takes the
-  // traversal's single-active fast path.
+  // active sets, per-node SIMD filtering).
   std::vector<Rect> probes;
   probes.reserve(query_regions.size());
   for (const Region& q : query_regions) {
@@ -316,11 +297,11 @@ Result<std::vector<CandidateImage>> ProbeCandidates(
   const simd::KernelTable& kern = simd::Active();
   const double eps2 =
       static_cast<double>(options.epsilon) * options.epsilon;
-  const auto accept = [&](int qi, const Rect& rect, uint64_t payload) {
+  const auto accept = [&](int qi, const RectView& rect, uint64_t payload) {
     const Region& q = query_regions[static_cast<size_t>(qi)];
     if (!use_bbox) {
-      // Exact Euclidean test on the stored centroid (== rect.lo()).
-      if (kern.squared_l2_f32(q.centroid.data(), rect.lo().data(),
+      // Exact Euclidean test on the stored centroid (== rect.lo).
+      if (kern.squared_l2_f32(q.centroid.data(), rect.lo,
                               static_cast<int>(q.centroid.size())) > eps2) {
         return true;
       }
@@ -338,10 +319,6 @@ Result<std::vector<CandidateImage>> ProbeCandidates(
   if (diag != nullptr) {
     diag->regions_retrieved = regions_retrieved;
     diag->nodes_visited = nodes_visited;
-    const DiskCounters disk_after = DiskCounters::Read(index.disk_tree());
-    diag->pages_read = disk_after.pages_read - disk_before.pages_read;
-    diag->cache_hits = disk_after.cache_hits - disk_before.cache_hits;
-    diag->cache_misses = disk_after.cache_misses - disk_before.cache_misses;
   }
   return CanonicalCandidates(std::move(hits));
 }
@@ -350,7 +327,6 @@ Result<std::vector<std::vector<std::pair<uint64_t, double>>>>
 ProbeNearestPerRegion(const WalrusIndex& index,
                       const std::vector<Region>& query_regions, int k,
                       ProbeDiagnostics* diag) {
-  const DiskCounters disk_before = DiskCounters::Read(index.disk_tree());
   int64_t nodes_visited = 0;
 
   std::vector<std::vector<std::pair<uint64_t, double>>> neighbors;
@@ -370,10 +346,6 @@ ProbeNearestPerRegion(const WalrusIndex& index,
     }
     diag->regions_retrieved = retrieved;
     diag->nodes_visited = nodes_visited;
-    const DiskCounters disk_after = DiskCounters::Read(index.disk_tree());
-    diag->pages_read = disk_after.pages_read - disk_before.pages_read;
-    diag->cache_hits = disk_after.cache_hits - disk_before.cache_hits;
-    diag->cache_misses = disk_after.cache_misses - disk_before.cache_misses;
   }
   return neighbors;
 }
@@ -583,9 +555,6 @@ Result<std::vector<QueryMatch>> QueryRun::Compose(
   for (size_t p = 0; p < n; ++p) {
     const ProbeDiagnostics& diag = work[p].diag;
     total.nodes_visited += diag.nodes_visited;
-    total.pages_read += diag.pages_read;
-    total.cache_hits += diag.cache_hits;
-    total.cache_misses += diag.cache_misses;
     if (part_regions != nullptr) (*part_regions)[p] = diag.regions_retrieved;
   }
 
@@ -612,9 +581,6 @@ Result<std::vector<QueryMatch>> QueryRun::Compose(
     stats_->match_seconds = match_seconds;
     stats_->rank_seconds = rank_seconds;
     stats_->nodes_visited = total.nodes_visited;
-    stats_->pages_read = total.pages_read;
-    stats_->cache_hits = total.cache_hits;
-    stats_->cache_misses = total.cache_misses;
     if (trace_ != nullptr) stats_->spans = trace_->TakeSpans();
   }
   return matches;

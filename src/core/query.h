@@ -84,16 +84,9 @@ struct QueryStats {
   double match_seconds = 0.0;
   double rank_seconds = 0.0;
 
-  /// Index-backend work done by this query's probes, summed over parts.
-  /// For the in-memory tree nodes_visited counts the R*-tree nodes this
-  /// query's traversals touched (exact under concurrent queries); for a
-  /// paged index pages_read / cache_hits / cache_misses are the page-IO
-  /// deltas (under concurrent queries the per-query attribution is
-  /// approximate; the process-wide truth lives in the metrics registry).
+  /// R*-tree nodes this query's traversals touched, summed over parts
+  /// (exact under concurrent queries; the same count in-memory and paged).
   int64_t nodes_visited = 0;
-  int64_t pages_read = 0;
-  int64_t cache_hits = 0;
-  int64_t cache_misses = 0;
 
   /// Span tree of this query; populated when QueryOptions::collect_trace.
   std::vector<TraceSpan> spans;

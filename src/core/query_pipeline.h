@@ -38,10 +38,10 @@ struct CandidateImage {
 struct ProbeDiagnostics {
   /// Region pairs retrieved across all query-region probes.
   int64_t regions_retrieved = 0;
-  /// In-memory tree nodes touched (0 for paged indexes).
+  /// R*-tree nodes touched, in-memory or paged.
   int64_t nodes_visited = 0;
-  /// Paged-backend IO deltas (0 for in-memory indexes; approximate under
-  /// concurrent queries, see QueryStats).
+  /// Always 0: a paged tree is a file mapping and reads no pages through a
+  /// cache. Kept for callers that still report them.
   int64_t pages_read = 0;
   int64_t cache_hits = 0;
   int64_t cache_misses = 0;

@@ -297,9 +297,6 @@ void EncodeQueryStats(const QueryStats& stats, BinaryWriter* writer) {
   writer->PutDouble(stats.match_seconds);
   writer->PutDouble(stats.rank_seconds);
   writer->PutI64(stats.nodes_visited);
-  writer->PutI64(stats.pages_read);
-  writer->PutI64(stats.cache_hits);
-  writer->PutI64(stats.cache_misses);
   EncodeTraceSpans(stats.spans, writer);
 }
 
@@ -316,9 +313,6 @@ Result<QueryStats> DecodeQueryStats(BinaryReader* reader) {
   WALRUS_ASSIGN_OR_RETURN(stats.match_seconds, reader->GetDouble());
   WALRUS_ASSIGN_OR_RETURN(stats.rank_seconds, reader->GetDouble());
   WALRUS_ASSIGN_OR_RETURN(stats.nodes_visited, reader->GetI64());
-  WALRUS_ASSIGN_OR_RETURN(stats.pages_read, reader->GetI64());
-  WALRUS_ASSIGN_OR_RETURN(stats.cache_hits, reader->GetI64());
-  WALRUS_ASSIGN_OR_RETURN(stats.cache_misses, reader->GetI64());
   WALRUS_ASSIGN_OR_RETURN(stats.spans, DecodeTraceSpans(reader));
   return stats;
 }

@@ -52,9 +52,10 @@ inline constexpr uint32_t kProtocolMagic = 0x57414C52;  // "WALR"
 /// cache counters.
 /// v7: the signature filter tier was removed, with every v5 field: the two
 /// QueryOptions flags (batched probing is an in-process option only), the
-/// tier's QueryStats time and counters, and its ServerStats counters. Only
-/// v7 is accepted.
-inline constexpr uint8_t kProtocolVersion = 7;
+/// tier's QueryStats time and counters, and its ServerStats counters.
+/// v8: the page cache was removed, and with it QueryStats' pages_read,
+/// cache_hits and cache_misses. Only v8 is accepted.
+inline constexpr uint8_t kProtocolVersion = 8;
 inline constexpr size_t kFrameHeaderBytes = 20;
 inline constexpr size_t kFrameTrailerBytes = 4;
 /// Upper bound on a frame body; larger length prefixes are rejected before

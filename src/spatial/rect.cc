@@ -155,4 +155,9 @@ double Rect::MinSquaredDistance(const float* point, int n) const {
                                              n);
 }
 
+Rect RectView::ToRect() const {
+  return Rect::Bounds(std::vector<float>(lo, lo + dim),
+                      std::vector<float>(hi, hi + dim));
+}
+
 }  // namespace walrus

@@ -94,6 +94,17 @@ class Rect {
   std::vector<float> hi_;
 };
 
+/// Non-owning view of a box's bounds, `dim` floats each. R*-tree visitors
+/// receive their hits this way; the floats stay valid only for the call.
+struct RectView {
+  const float* lo = nullptr;
+  const float* hi = nullptr;
+  int dim = 0;
+
+  /// An owning copy.
+  Rect ToRect() const;
+};
+
 }  // namespace walrus
 
 #endif  // WALRUS_SPATIAL_RECT_H_

@@ -1,56 +1,98 @@
 #include "spatial/rstar_tree.h"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <limits>
 #include <queue>
 
 #include "common/check.h"
+#include "common/crc32.h"
 #include "common/metrics.h"
 #include "common/simd.h"
 #include "spatial/hilbert.h"
 
 namespace walrus {
 
+// The arena is read in place from files, so its host-order integers and
+// floats are the file format.
+static_assert(std::endian::native == std::endian::little,
+              "the R*-tree file image is little endian and read in place");
+
 struct RStarTree::Entry {
   Rect rect;
-  uint64_t payload = 0;          // meaningful in leaves
-  std::unique_ptr<Node> child;   // non-null in internal nodes
+  uint64_t value = 0;  // payload in a leaf, child node id inside
 };
 
-struct RStarTree::Node {
-  int level = 0;  // 0 = leaf
-  Node* parent = nullptr;
-  std::vector<Entry> entries;
-
-  bool is_leaf() const { return level == 0; }
-
-  Rect ComputeBoundingRect(int dim) const {
-    Rect r = Rect::Empty(dim);
-    for (const Entry& e : entries) r.ExpandToInclude(e.rect);
-    return r;
+/// A read-only mapping of a whole file, unmapped on destruction.
+class RStarTree::Mapping {
+ public:
+  static Result<std::unique_ptr<Mapping>> Open(const std::string& path) {
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) return Status::IOError("cannot open for read: " + path);
+    struct stat st;
+    if (::fstat(fd, &st) != 0) {
+      ::close(fd);
+      return Status::IOError("cannot stat: " + path);
+    }
+    if (st.st_size == 0) {
+      ::close(fd);
+      return Status::Corruption("rstar: empty file: " + path);
+    }
+    const size_t size = static_cast<size_t>(st.st_size);
+    void* data = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
+    ::close(fd);
+    if (data == MAP_FAILED) return Status::IOError("cannot map: " + path);
+    return std::unique_ptr<Mapping>(new Mapping(data, size));
   }
+
+  Mapping(const Mapping&) = delete;
+  Mapping& operator=(const Mapping&) = delete;
+  ~Mapping() { ::munmap(data_, size_); }
+
+  std::span<const uint8_t> bytes() const {
+    return {static_cast<const uint8_t*>(data_), size_};
+  }
+
+ private:
+  Mapping(void* data, size_t size) : data_(data), size_(size) {}
+
+  void* data_;
+  size_t size_;
 };
-
-RStarTree::RStarTree(int dim, RStarParams params)
-    : dim_(dim), params_(params), root_(std::make_unique<Node>()) {
-  WALRUS_CHECK_GE(dim, 1);
-  WALRUS_CHECK_GE(params.max_entries, 4);
-  WALRUS_CHECK(params.reinsert_fraction > 0.0 &&
-               params.reinsert_fraction < 0.5);
-}
-
-RStarTree::RStarTree(RStarTree&& other) noexcept = default;
-RStarTree& RStarTree::operator=(RStarTree&& other) noexcept = default;
-RStarTree::~RStarTree() = default;
-
-int RStarTree::height() const { return root_->level + 1; }
 
 namespace {
 
+constexpr uint32_t kImageMagic = 0x41545352;  // "RSTA"
+/// The pre-arena tree stream had no version field; the arena is 2.
+constexpr uint32_t kImageVersion = 2;
+constexpr size_t kHeaderBytes = 40;  // keeps the arena 8-byte aligned
+constexpr size_t kCrcBytes = 4;
+constexpr size_t kNodeHeaderBytes = 8;
+constexpr uint32_t kNoParent = std::numeric_limits<uint32_t>::max();
+/// Header bounds checked before any size derived from them is trusted.
+constexpr uint32_t kMaxDim = 4096;
+constexpr int kMaxEntries = 4096;
+/// Share of an overflowing node's entries that forced reinsertion moves.
+constexpr double kReinsertFraction = 0.3;
+
 /// Minimum fill: 40% of M as in [BKSS90].
-int MinEntries(int max_entries) { return std::max(2, (max_entries * 2) / 5); }
+uint32_t MinEntries(int max_entries) {
+  return static_cast<uint32_t>(std::max(2, (max_entries * 2) / 5));
+}
+
+size_t NodeBytes(int dim, int max_entries) {
+  return kNodeHeaderBytes +
+         8 * static_cast<size_t>(dim) * static_cast<size_t>(max_entries) +
+         8 * static_cast<size_t>(max_entries);
+}
 
 double CenterSquaredDistance(const Rect& a, const Rect& b) {
   double sum = 0.0;
@@ -64,195 +106,355 @@ double CenterSquaredDistance(const Rect& a, const Rect& b) {
 
 }  // namespace
 
-RStarTree::Node* RStarTree::ChooseSubtree(Node* node, const Rect& rect,
-                                          int target_level,
-                                          int current_level) {
-  while (current_level > target_level) {
-    WALRUS_DCHECK(!node->is_leaf());
-    size_t best = 0;
-    if (node->level == 1) {
+RStarTree::RStarTree(int dim, RStarParams params)
+    : dim_(dim),
+      max_entries_(params.max_entries),
+      node_bytes_(NodeBytes(dim, params.max_entries)) {
+  WALRUS_CHECK_GE(dim, 1);
+  WALRUS_CHECK_GE(params.max_entries, 4);
+  WALRUS_CHECK_LE(params.max_entries, kMaxEntries);
+  root_ = AllocNode(0);
+}
+
+RStarTree::RStarTree(RStarTree&& other) noexcept = default;
+RStarTree& RStarTree::operator=(RStarTree&& other) noexcept = default;
+RStarTree::~RStarTree() = default;
+
+int RStarTree::height() const { return static_cast<int>(Level(root_)) + 1; }
+
+RStarTree::NodeView RStarTree::View(uint32_t id) const {
+  const uint8_t* base = nodes_ + static_cast<size_t>(id) * node_bytes_;
+  const auto* header = reinterpret_cast<const uint32_t*>(base);
+  const auto* lo = reinterpret_cast<const float*>(base + kNodeHeaderBytes);
+  const size_t plane = static_cast<size_t>(dim_) * max_entries_;
+  return {header[0], header[1], lo, lo + plane,
+          reinterpret_cast<const uint64_t*>(base + kNodeHeaderBytes +
+                                            8 * plane)};
+}
+
+Rect RStarTree::EntryRect(uint32_t id, uint32_t slot) const {
+  const NodeView n = View(id);
+  std::vector<float> lo(dim_), hi(dim_);
+  for (int d = 0; d < dim_; ++d) {
+    lo[d] = n.lo[static_cast<size_t>(d) * max_entries_ + slot];
+    hi[d] = n.hi[static_cast<size_t>(d) * max_entries_ + slot];
+  }
+  return Rect::Bounds(std::move(lo), std::move(hi));
+}
+
+std::vector<RStarTree::Entry> RStarTree::Entries(uint32_t id) const {
+  const NodeView n = View(id);
+  std::vector<Entry> entries(n.count);
+  for (uint32_t e = 0; e < n.count; ++e) {
+    entries[e].rect = EntryRect(id, e);
+    entries[e].value = n.value[e];
+  }
+  return entries;
+}
+
+Rect RStarTree::NodeBounds(uint32_t id) const {
+  const NodeView n = View(id);
+  if (n.count == 0) return Rect::Empty(dim_);
+  std::vector<float> lo(dim_), hi(dim_);
+  for (int d = 0; d < dim_; ++d) {
+    const float* lo_plane = n.lo + static_cast<size_t>(d) * max_entries_;
+    const float* hi_plane = n.hi + static_cast<size_t>(d) * max_entries_;
+    lo[d] = *std::min_element(lo_plane, lo_plane + n.count);
+    hi[d] = *std::max_element(hi_plane, hi_plane + n.count);
+  }
+  return Rect::Bounds(std::move(lo), std::move(hi));
+}
+
+uint32_t RStarTree::SlotOf(uint32_t parent, uint32_t child) const {
+  const NodeView n = View(parent);
+  uint32_t slot = 0;
+  while (slot < n.count && n.value[slot] != child) ++slot;
+  WALRUS_CHECK_LT(slot, n.count) << "rstar: node missing from its parent";
+  return slot;
+}
+
+uint32_t RStarTree::AllocNode(uint32_t level) {
+  WALRUS_CHECK(!is_mapped()) << "rstar: a mapped tree is read-only";
+  uint32_t id;
+  if (!free_.empty()) {
+    id = free_.back();
+    free_.pop_back();
+  } else {
+    id = node_count_++;
+    heap_.resize(static_cast<size_t>(node_count_) * node_bytes_);
+    parent_.push_back(kNoParent);
+    nodes_ = heap_.data();
+  }
+  uint8_t* base = heap_.data() + static_cast<size_t>(id) * node_bytes_;
+  std::memset(base, 0, node_bytes_);
+  std::memcpy(base, &level, sizeof(level));
+  parent_[id] = kNoParent;
+  return id;
+}
+
+void RStarTree::FreeNode(uint32_t id) {
+  parent_[id] = kNoParent;
+  free_.push_back(id);
+}
+
+float* RStarTree::MutablePlanes(uint32_t id) {
+  return reinterpret_cast<float*>(
+      heap_.data() + static_cast<size_t>(id) * node_bytes_ + kNodeHeaderBytes);
+}
+
+uint64_t* RStarTree::MutableValues(uint32_t id) {
+  return reinterpret_cast<uint64_t*>(
+      MutablePlanes(id) + 2 * static_cast<size_t>(dim_) * max_entries_);
+}
+
+void RStarTree::SetEntryRect(uint32_t id, uint32_t slot, const Rect& rect) {
+  float* lo = MutablePlanes(id);
+  float* hi = lo + static_cast<size_t>(dim_) * max_entries_;
+  for (int d = 0; d < dim_; ++d) {
+    lo[static_cast<size_t>(d) * max_entries_ + slot] = rect.lo(d);
+    hi[static_cast<size_t>(d) * max_entries_ + slot] = rect.hi(d);
+  }
+}
+
+void RStarTree::PutEntry(uint32_t id, uint32_t slot, const Rect& rect,
+                         uint64_t value) {
+  SetEntryRect(id, slot, rect);
+  MutableValues(id)[slot] = value;
+  if (Level(id) > 0) parent_[static_cast<uint32_t>(value)] = id;
+}
+
+void RStarTree::RemoveSlot(uint32_t id, uint32_t slot) {
+  const uint32_t count = Count(id);
+  const size_t tail = count - slot - 1;
+  float* planes = MutablePlanes(id);
+  for (size_t p = 0; p < 2 * static_cast<size_t>(dim_); ++p) {
+    float* plane = planes + p * max_entries_;
+    std::memmove(plane + slot, plane + slot + 1, tail * sizeof(float));
+  }
+  uint64_t* values = MutableValues(id);
+  std::memmove(values + slot, values + slot + 1, tail * sizeof(uint64_t));
+  SetCount(id, count - 1);
+}
+
+void RStarTree::SetCount(uint32_t id, uint32_t count) {
+  std::memcpy(heap_.data() + static_cast<size_t>(id) * node_bytes_ + 4,
+              &count, sizeof(count));
+}
+
+void RStarTree::SetEntries(uint32_t id, const std::vector<Entry>& entries) {
+  WALRUS_DCHECK_LE(entries.size(), static_cast<size_t>(max_entries_));
+  for (uint32_t e = 0; e < entries.size(); ++e) {
+    PutEntry(id, e, entries[e].rect, entries[e].value);
+  }
+  SetCount(id, static_cast<uint32_t>(entries.size()));
+}
+
+void RStarTree::RefreshEntry(uint32_t parent, uint32_t child) {
+  const NodeView c = View(child);
+  WALRUS_DCHECK_GT(c.count, 0u);
+  const size_t slot = SlotOf(parent, child);
+  float* lo = MutablePlanes(parent);
+  float* hi = lo + static_cast<size_t>(dim_) * max_entries_;
+  for (int d = 0; d < dim_; ++d) {
+    const size_t plane = static_cast<size_t>(d) * max_entries_;
+    lo[plane + slot] = *std::min_element(c.lo + plane, c.lo + plane + c.count);
+    hi[plane + slot] = *std::max_element(c.hi + plane, c.hi + plane + c.count);
+  }
+}
+
+uint32_t RStarTree::ChooseSubtree(const Rect& rect, uint32_t target_level) {
+  // Areas, enlargements and overlaps are computed on the planes with the
+  // arithmetic of Rect::Area / Enlargement / OverlapArea, in their order.
+  const size_t m = static_cast<size_t>(max_entries_);
+  std::vector<float> grown_lo(dim_), grown_hi(dim_);
+  uint32_t node = root_;
+  while (Level(node) > target_level) {
+    const NodeView n = View(node);
+    const auto area = [&](uint32_t e) {
+      double a = 1.0;
+      for (int d = 0; d < dim_; ++d) {
+        a *= static_cast<double>(n.hi[d * m + e]) - n.lo[d * m + e];
+      }
+      return a;
+    };
+    // Entry e grown to include `rect`, into grown_lo/hi; returns its area.
+    const auto grow = [&](uint32_t e) {
+      double a = 1.0;
+      for (int d = 0; d < dim_; ++d) {
+        grown_lo[d] = std::min(n.lo[d * m + e], rect.lo(d));
+        grown_hi[d] = std::max(n.hi[d * m + e], rect.hi(d));
+        a *= static_cast<double>(grown_hi[d]) - grown_lo[d];
+      }
+      return a;
+    };
+    // Overlap of box (lo(d), hi(d)) with entry j.
+    const auto overlap = [&](const auto& lo, const auto& hi, uint32_t j) {
+      double a = 1.0;
+      for (int d = 0; d < dim_; ++d) {
+        const double l = std::max(lo(d), n.lo[d * m + j]);
+        const double h = std::min(hi(d), n.hi[d * m + j]);
+        if (h <= l) return 0.0;
+        a *= h - l;
+      }
+      return a;
+    };
+    uint32_t best = 0;
+    double best_enlargement = std::numeric_limits<double>::infinity();
+    double best_area = std::numeric_limits<double>::infinity();
+    if (n.level == 1) {
       // Children are leaves: minimize overlap enlargement (R* heuristic).
       double best_overlap_delta = std::numeric_limits<double>::infinity();
-      double best_enlargement = std::numeric_limits<double>::infinity();
-      double best_area = std::numeric_limits<double>::infinity();
-      for (size_t i = 0; i < node->entries.size(); ++i) {
-        Rect enlarged = Rect::Union(node->entries[i].rect, rect);
+      for (uint32_t i = 0; i < n.count; ++i) {
+        const double area_i = area(i);
+        const double enlargement = grow(i) - area_i;
+        const auto entry_lo = [&](int d) { return n.lo[d * m + i]; };
+        const auto entry_hi = [&](int d) { return n.hi[d * m + i]; };
+        const auto grown_lo_at = [&](int d) { return grown_lo[d]; };
+        const auto grown_hi_at = [&](int d) { return grown_hi[d]; };
         double overlap_before = 0.0;
         double overlap_after = 0.0;
-        for (size_t j = 0; j < node->entries.size(); ++j) {
+        for (uint32_t j = 0; j < n.count; ++j) {
           if (j == i) continue;
-          overlap_before +=
-              node->entries[i].rect.OverlapArea(node->entries[j].rect);
-          overlap_after += enlarged.OverlapArea(node->entries[j].rect);
+          overlap_before += overlap(entry_lo, entry_hi, j);
+          overlap_after += overlap(grown_lo_at, grown_hi_at, j);
         }
-        double overlap_delta = overlap_after - overlap_before;
-        double enlargement = node->entries[i].rect.Enlargement(rect);
-        double area = node->entries[i].rect.Area();
+        const double overlap_delta = overlap_after - overlap_before;
         if (overlap_delta < best_overlap_delta ||
             (overlap_delta == best_overlap_delta &&
              (enlargement < best_enlargement ||
-              (enlargement == best_enlargement && area < best_area)))) {
+              (enlargement == best_enlargement && area_i < best_area)))) {
           best_overlap_delta = overlap_delta;
           best_enlargement = enlargement;
-          best_area = area;
+          best_area = area_i;
           best = i;
         }
       }
     } else {
       // Minimize area enlargement, ties by smaller area.
-      double best_enlargement = std::numeric_limits<double>::infinity();
-      double best_area = std::numeric_limits<double>::infinity();
-      for (size_t i = 0; i < node->entries.size(); ++i) {
-        double enlargement = node->entries[i].rect.Enlargement(rect);
-        double area = node->entries[i].rect.Area();
+      for (uint32_t i = 0; i < n.count; ++i) {
+        const double area_i = area(i);
+        const double enlargement = grow(i) - area_i;
         if (enlargement < best_enlargement ||
-            (enlargement == best_enlargement && area < best_area)) {
+            (enlargement == best_enlargement && area_i < best_area)) {
           best_enlargement = enlargement;
-          best_area = area;
+          best_area = area_i;
           best = i;
         }
       }
     }
-    node->entries[best].rect.ExpandToInclude(rect);
-    node = node->entries[best].child.get();
-    current_level = node->level;
+    grow(best);
+    float* lo = MutablePlanes(node);
+    float* hi = lo + static_cast<size_t>(dim_) * m;
+    for (int d = 0; d < dim_; ++d) {
+      lo[d * m + best] = grown_lo[d];
+      hi[d * m + best] = grown_hi[d];
+    }
+    node = static_cast<uint32_t>(n.value[best]);
   }
   return node;
 }
 
 void RStarTree::Insert(const Rect& rect, uint64_t payload) {
+  WALRUS_CHECK(!is_mapped()) << "rstar: a mapped tree is read-only";
   WALRUS_CHECK_EQ(rect.dim(), dim_);
   WALRUS_CHECK(!rect.IsEmpty());
-  reinserted_at_level_.assign(root_->level + 2, false);
-  Entry entry;
-  entry.rect = rect;
-  entry.payload = payload;
-  InsertAtLevel(std::move(entry), /*target_level=*/0);
+  reinserted_at_level_.assign(Level(root_) + 2, false);
+  InsertAtLevel({rect, payload}, /*target_level=*/0);
   ++size_;
 }
 
-void RStarTree::InsertAtLevel(Entry entry, int target_level) {
-  Node* node = ChooseSubtree(root_.get(), entry.rect, target_level,
-                             root_->level);
-  WALRUS_DCHECK_EQ(node->level, target_level);
-  if (entry.child != nullptr) entry.child->parent = node;
-  node->entries.push_back(std::move(entry));
-  if (static_cast<int>(node->entries.size()) > params_.max_entries) {
-    OverflowTreatment(node, target_level, &reinserted_at_level_);
-  } else {
+void RStarTree::InsertAtLevel(Entry entry, uint32_t target_level) {
+  const uint32_t node = ChooseSubtree(entry.rect, target_level);
+  WALRUS_DCHECK_EQ(Level(node), target_level);
+  const uint32_t count = Count(node);
+  if (count < static_cast<uint32_t>(max_entries_)) {
+    PutEntry(node, count, entry.rect, entry.value);
+    SetCount(node, count + 1);
     AdjustUpward(node);
+    return;
   }
+  std::vector<Entry> entries = Entries(node);
+  entries.push_back(std::move(entry));
+  OverflowTreatment(node, std::move(entries));
 }
 
-void RStarTree::OverflowTreatment(Node* node, int level,
-                                  std::vector<bool>* reinserted_at_level) {
-  if (params_.use_forced_reinsert && node != root_.get() &&
-      level < static_cast<int>(reinserted_at_level->size()) &&
-      !(*reinserted_at_level)[level]) {
-    (*reinserted_at_level)[level] = true;
+void RStarTree::OverflowTreatment(uint32_t node, std::vector<Entry> entries) {
+  const uint32_t level = Level(node);
+  if (node != root_ && level < reinserted_at_level_.size() &&
+      !reinserted_at_level_[level]) {
+    reinserted_at_level_[level] = true;
     // Forced reinsert: remove the p entries whose centers are farthest from
     // the node's bounding-rect center, then reinsert them (closest first).
-    int p = std::max(
-        1, static_cast<int>(params_.reinsert_fraction * node->entries.size()));
-    Rect bounds = node->ComputeBoundingRect(dim_);
+    int p = std::max(1, static_cast<int>(kReinsertFraction * entries.size()));
+    Rect bounds = Rect::Empty(dim_);
+    for (const Entry& e : entries) bounds.ExpandToInclude(e.rect);
     std::vector<std::pair<double, size_t>> by_distance;
-    by_distance.reserve(node->entries.size());
-    for (size_t i = 0; i < node->entries.size(); ++i) {
-      by_distance.emplace_back(
-          CenterSquaredDistance(node->entries[i].rect, bounds), i);
+    by_distance.reserve(entries.size());
+    for (size_t i = 0; i < entries.size(); ++i) {
+      by_distance.emplace_back(CenterSquaredDistance(entries[i].rect, bounds),
+                               i);
     }
     std::sort(by_distance.begin(), by_distance.end(),
               [](const auto& a, const auto& b) { return a.first > b.first; });
-    std::vector<Entry> removed;
-    removed.reserve(p);
-    std::vector<bool> remove_flag(node->entries.size(), false);
+    std::vector<bool> remove_flag(entries.size(), false);
     for (int i = 0; i < p; ++i) remove_flag[by_distance[i].second] = true;
+    std::vector<Entry> removed;
     std::vector<Entry> kept;
-    kept.reserve(node->entries.size() - p);
-    for (size_t i = 0; i < node->entries.size(); ++i) {
-      if (remove_flag[i]) {
-        removed.push_back(std::move(node->entries[i]));
-      } else {
-        kept.push_back(std::move(node->entries[i]));
-      }
+    for (size_t i = 0; i < entries.size(); ++i) {
+      (remove_flag[i] ? removed : kept).push_back(std::move(entries[i]));
     }
-    node->entries = std::move(kept);
+    SetEntries(node, kept);
     AdjustUpward(node);
     // Close reinsert: nearest-removed first ([BKSS90] found this best).
     std::reverse(removed.begin(), removed.end());
-    for (Entry& e : removed) {
-      InsertAtLevel(std::move(e), level);
-    }
+    for (Entry& e : removed) InsertAtLevel(std::move(e), level);
     return;
   }
-  SplitNode(node);
+  SplitNode(node, std::move(entries));
 }
 
-void RStarTree::SplitNode(Node* node) {
+void RStarTree::SplitNode(uint32_t node, std::vector<Entry> entries) {
   std::vector<int> left_group;
   std::vector<int> right_group;
-  ChooseSplitGroups(node, &left_group, &right_group);
+  ChooseSplitGroups(entries, &left_group, &right_group);
+  std::vector<Entry> left;
+  std::vector<Entry> right;
+  for (int i : left_group) left.push_back(std::move(entries[i]));
+  for (int i : right_group) right.push_back(std::move(entries[i]));
 
-  // Materialize the two groups.
-  auto sibling = std::make_unique<Node>();
-  sibling->level = node->level;
-  std::vector<Entry> left_entries;
-  left_entries.reserve(left_group.size());
-  for (int i : left_group) {
-    left_entries.push_back(std::move(node->entries[i]));
-  }
-  for (int i : right_group) {
-    Entry& e = node->entries[i];
-    if (e.child != nullptr) e.child->parent = sibling.get();
-    sibling->entries.push_back(std::move(e));
-  }
-  node->entries = std::move(left_entries);
+  const uint32_t level = Level(node);
+  const uint32_t sibling = AllocNode(level);
+  SetEntries(node, left);
+  SetEntries(sibling, right);
 
-  if (node == root_.get()) {
-    auto new_root = std::make_unique<Node>();
-    new_root->level = node->level + 1;
-    Entry left;
-    left.rect = node->ComputeBoundingRect(dim_);
-    left.child = std::move(root_);
-    Entry right;
-    right.rect = sibling->ComputeBoundingRect(dim_);
-    right.child = std::move(sibling);
-    left.child->parent = new_root.get();
-    right.child->parent = new_root.get();
-    new_root->entries.push_back(std::move(left));
-    new_root->entries.push_back(std::move(right));
-    root_ = std::move(new_root);
+  if (node == root_) {
+    const uint32_t new_root = AllocNode(level + 1);
+    SetEntries(new_root,
+               {{NodeBounds(node), node}, {NodeBounds(sibling), sibling}});
+    root_ = new_root;
     return;
   }
 
-  Node* parent = node->parent;
-  // Refresh the split node's rect in its parent.
-  for (Entry& e : parent->entries) {
-    if (e.child.get() == node) {
-      e.rect = node->ComputeBoundingRect(dim_);
-      break;
-    }
+  const uint32_t parent = parent_[node];
+  RefreshEntry(parent, node);
+  Entry sibling_entry{NodeBounds(sibling), sibling};
+  const uint32_t count = Count(parent);
+  if (count < static_cast<uint32_t>(max_entries_)) {
+    PutEntry(parent, count, sibling_entry.rect, sibling_entry.value);
+    SetCount(parent, count + 1);
+    AdjustUpward(parent);
+    return;
   }
-  Entry sibling_entry;
-  sibling_entry.rect = sibling->ComputeBoundingRect(dim_);
-  sibling->parent = parent;
-  sibling_entry.child = std::move(sibling);
-  parent->entries.push_back(std::move(sibling_entry));
-  AdjustUpward(parent);
-  if (static_cast<int>(parent->entries.size()) > params_.max_entries) {
-    OverflowTreatment(parent, parent->level, &reinserted_at_level_);
-  }
+  std::vector<Entry> parent_entries = Entries(parent);
+  parent_entries.push_back(std::move(sibling_entry));
+  OverflowTreatment(parent, std::move(parent_entries));
 }
 
-void RStarTree::ChooseSplitGroups(const Node* node, std::vector<int>* left,
+void RStarTree::ChooseSplitGroups(const std::vector<Entry>& entries,
+                                  std::vector<int>* left,
                                   std::vector<int>* right) const {
-  if (params_.split_policy == SplitPolicy::kQuadratic) {
-    QuadraticSplitGroups(node, left, right);
-    return;
-  }
-
-  const int total = static_cast<int>(node->entries.size());
-  const int min_fill = MinEntries(params_.max_entries);
+  const int total = static_cast<int>(entries.size());
+  const int min_fill = static_cast<int>(MinEntries(max_entries_));
   WALRUS_DCHECK_GE(total, 2 * min_fill);
 
   // R* split. Step 1: choose the split axis minimizing the summed margins
@@ -265,8 +467,8 @@ void RStarTree::ChooseSplitGroups(const Node* node, std::vector<int>* left,
   auto sort_order = [&](int axis, bool by_hi) {
     for (int i = 0; i < total; ++i) order[i] = i;
     std::sort(order.begin(), order.end(), [&](int a, int b) {
-      const Rect& ra = node->entries[a].rect;
-      const Rect& rb = node->entries[b].rect;
+      const Rect& ra = entries[a].rect;
+      const Rect& rb = entries[b].rect;
       float ka = by_hi ? ra.hi(axis) : ra.lo(axis);
       float kb = by_hi ? rb.hi(axis) : rb.lo(axis);
       if (ka != kb) return ka < kb;
@@ -275,30 +477,29 @@ void RStarTree::ChooseSplitGroups(const Node* node, std::vector<int>* left,
     });
   };
 
-  auto evaluate_margins = [&]() {
-    // Prefix/suffix bounding rects over the current `order`.
-    std::vector<Rect> prefix(total), suffix(total);
+  // Prefix/suffix bounding rects over the current `order`.
+  std::vector<Rect> prefix(total), suffix(total);
+  auto sweep_bounds = [&]() {
     Rect acc = Rect::Empty(dim_);
     for (int i = 0; i < total; ++i) {
-      acc.ExpandToInclude(node->entries[order[i]].rect);
+      acc.ExpandToInclude(entries[order[i]].rect);
       prefix[i] = acc;
     }
     acc = Rect::Empty(dim_);
     for (int i = total - 1; i >= 0; --i) {
-      acc.ExpandToInclude(node->entries[order[i]].rect);
+      acc.ExpandToInclude(entries[order[i]].rect);
       suffix[i] = acc;
     }
-    double margin_sum = 0.0;
-    for (int k = min_fill; k <= total - min_fill; ++k) {
-      margin_sum += prefix[k - 1].Margin() + suffix[k].Margin();
-    }
-    return margin_sum;
   };
 
   for (int axis = 0; axis < dim_; ++axis) {
     for (bool by_hi : {false, true}) {
       sort_order(axis, by_hi);
-      double margin_sum = evaluate_margins();
+      sweep_bounds();
+      double margin_sum = 0.0;
+      for (int k = min_fill; k <= total - min_fill; ++k) {
+        margin_sum += prefix[k - 1].Margin() + suffix[k].Margin();
+      }
       if (margin_sum < best_margin_sum) {
         best_margin_sum = margin_sum;
         best_axis = axis;
@@ -310,17 +511,7 @@ void RStarTree::ChooseSplitGroups(const Node* node, std::vector<int>* left,
   // Step 2: along the chosen axis, pick the distribution with minimum
   // overlap (ties: minimum combined area).
   sort_order(best_axis, best_axis_by_hi);
-  std::vector<Rect> prefix(total), suffix(total);
-  Rect acc = Rect::Empty(dim_);
-  for (int i = 0; i < total; ++i) {
-    acc.ExpandToInclude(node->entries[order[i]].rect);
-    prefix[i] = acc;
-  }
-  acc = Rect::Empty(dim_);
-  for (int i = total - 1; i >= 0; --i) {
-    acc.ExpandToInclude(node->entries[order[i]].rect);
-    suffix[i] = acc;
-  }
+  sweep_bounds();
   int best_k = min_fill;
   double best_overlap = std::numeric_limits<double>::infinity();
   double best_area = std::numeric_limits<double>::infinity();
@@ -339,143 +530,53 @@ void RStarTree::ChooseSplitGroups(const Node* node, std::vector<int>* left,
   right->assign(order.begin() + best_k, order.end());
 }
 
-void RStarTree::QuadraticSplitGroups(const Node* node, std::vector<int>* left,
-                                     std::vector<int>* right) const {
-  // Guttman's quadratic split: seed with the pair wasting the most area,
-  // then repeatedly place the entry with the largest preference difference
-  // into its preferred group, respecting the minimum fill.
-  const int total = static_cast<int>(node->entries.size());
-  const int min_fill = MinEntries(params_.max_entries);
-  left->clear();
-  right->clear();
-
-  int seed_a = 0;
-  int seed_b = 1;
-  double worst_waste = -std::numeric_limits<double>::infinity();
-  for (int i = 0; i < total; ++i) {
-    for (int j = i + 1; j < total; ++j) {
-      Rect combined =
-          Rect::Union(node->entries[i].rect, node->entries[j].rect);
-      double waste = combined.Area() - node->entries[i].rect.Area() -
-                     node->entries[j].rect.Area();
-      if (waste > worst_waste) {
-        worst_waste = waste;
-        seed_a = i;
-        seed_b = j;
-      }
-    }
-  }
-
-  Rect left_rect = node->entries[seed_a].rect;
-  Rect right_rect = node->entries[seed_b].rect;
-  left->push_back(seed_a);
-  right->push_back(seed_b);
-  std::vector<bool> placed(total, false);
-  placed[seed_a] = true;
-  placed[seed_b] = true;
-  int remaining = total - 2;
-
-  while (remaining > 0) {
-    // Forced placement when one group must absorb everything left to reach
-    // the minimum fill.
-    if (static_cast<int>(left->size()) + remaining == min_fill) {
-      for (int i = 0; i < total; ++i) {
-        if (!placed[i]) {
-          left->push_back(i);
-          placed[i] = true;
-        }
-      }
-      break;
-    }
-    if (static_cast<int>(right->size()) + remaining == min_fill) {
-      for (int i = 0; i < total; ++i) {
-        if (!placed[i]) {
-          right->push_back(i);
-          placed[i] = true;
-        }
-      }
-      break;
-    }
-
-    // PickNext: maximize |enlargement(left) - enlargement(right)|.
-    int best = -1;
-    double best_diff = -1.0;
-    double best_dl = 0.0;
-    double best_dr = 0.0;
-    for (int i = 0; i < total; ++i) {
-      if (placed[i]) continue;
-      double dl = left_rect.Enlargement(node->entries[i].rect);
-      double dr = right_rect.Enlargement(node->entries[i].rect);
-      double diff = std::fabs(dl - dr);
-      if (diff > best_diff) {
-        best_diff = diff;
-        best = i;
-        best_dl = dl;
-        best_dr = dr;
-      }
-    }
-    WALRUS_DCHECK_GE(best, 0);
-    bool to_left;
-    if (best_dl != best_dr) {
-      to_left = best_dl < best_dr;
-    } else if (left_rect.Area() != right_rect.Area()) {
-      to_left = left_rect.Area() < right_rect.Area();
-    } else {
-      to_left = left->size() <= right->size();
-    }
-    if (to_left) {
-      left->push_back(best);
-      left_rect.ExpandToInclude(node->entries[best].rect);
-    } else {
-      right->push_back(best);
-      right_rect.ExpandToInclude(node->entries[best].rect);
-    }
-    placed[best] = true;
-    --remaining;
-  }
-}
-
-void RStarTree::AdjustUpward(Node* node) {
-  while (node->parent != nullptr) {
-    Node* parent = node->parent;
-    for (Entry& e : parent->entries) {
-      if (e.child.get() == node) {
-        e.rect = node->ComputeBoundingRect(dim_);
-        break;
-      }
-    }
+void RStarTree::AdjustUpward(uint32_t node) {
+  while (parent_[node] != kNoParent) {
+    const uint32_t parent = parent_[node];
+    RefreshEntry(parent, node);
     node = parent;
   }
 }
 
 Status RStarTree::Delete(const Rect& rect, uint64_t payload) {
+  WALRUS_CHECK(!is_mapped()) << "rstar: a mapped tree is read-only";
   WALRUS_CHECK_EQ(rect.dim(), dim_);
   // FindLeaf: depth-first through nodes whose rects contain `rect`.
-  Node* leaf = nullptr;
-  size_t entry_index = 0;
-  std::vector<Node*> stack = {root_.get()};
-  while (!stack.empty() && leaf == nullptr) {
-    Node* node = stack.back();
+  uint32_t leaf = kNoParent;
+  uint32_t slot = 0;
+  const bool degenerate = rect.Area() == 0.0;
+  std::vector<uint32_t> stack = {root_};
+  while (!rect.IsEmpty() && !stack.empty() && leaf == kNoParent) {
+    const uint32_t node = stack.back();
     stack.pop_back();
-    for (size_t i = 0; i < node->entries.size(); ++i) {
-      Entry& e = node->entries[i];
-      if (node->is_leaf()) {
-        if (e.payload == payload && e.rect == rect) {
+    const NodeView n = View(node);
+    for (uint32_t e = 0; e < n.count; ++e) {
+      bool contains = true;   // entry box contains `rect`
+      bool touches = true;    // closed-bounds overlap
+      bool equal = true;
+      for (int d = 0; d < dim_; ++d) {
+        const float lo = n.lo[static_cast<size_t>(d) * max_entries_ + e];
+        const float hi = n.hi[static_cast<size_t>(d) * max_entries_ + e];
+        contains &= lo <= rect.lo(d) && rect.hi(d) <= hi;
+        touches &= lo <= rect.hi(d) && rect.lo(d) <= hi;
+        equal &= lo == rect.lo(d) && hi == rect.hi(d);
+      }
+      if (n.level == 0) {
+        if (n.value[e] == payload && equal) {
           leaf = node;
-          entry_index = i;
+          slot = e;
           break;
         }
-      } else if (e.rect.ContainsRect(rect) ||
-                 (rect.Area() == 0.0 && e.rect.Intersects(rect))) {
-        stack.push_back(e.child.get());
+      } else if (contains || (degenerate && touches)) {
+        stack.push_back(static_cast<uint32_t>(n.value[e]));
       }
     }
   }
-  if (leaf == nullptr) {
+  if (leaf == kNoParent) {
     return Status::NotFound("rstar: entry not found for payload " +
                             std::to_string(payload));
   }
-  leaf->entries.erase(leaf->entries.begin() + entry_index);
+  RemoveSlot(leaf, slot);
   --size_;
   CondenseTree(leaf);
   return Status::OK();
@@ -485,15 +586,16 @@ int64_t RStarTree::DeleteIf(const std::function<bool(uint64_t)>& predicate) {
   // Collect matching (rect, payload) pairs first, then delete one by one so
   // CondenseTree keeps the structure valid throughout.
   std::vector<std::pair<Rect, uint64_t>> doomed;
-  std::vector<const Node*> stack = {root_.get()};
+  std::vector<uint32_t> stack = {root_};
   while (!stack.empty()) {
-    const Node* node = stack.back();
+    const uint32_t node = stack.back();
     stack.pop_back();
-    for (const Entry& e : node->entries) {
-      if (node->is_leaf()) {
-        if (predicate(e.payload)) doomed.emplace_back(e.rect, e.payload);
-      } else {
-        stack.push_back(e.child.get());
+    const NodeView n = View(node);
+    for (uint32_t e = 0; e < n.count; ++e) {
+      if (n.level > 0) {
+        stack.push_back(static_cast<uint32_t>(n.value[e]));
+      } else if (predicate(n.value[e])) {
+        doomed.emplace_back(EntryRect(node, e), n.value[e]);
       }
     }
   }
@@ -504,79 +606,67 @@ int64_t RStarTree::DeleteIf(const std::function<bool(uint64_t)>& predicate) {
   return static_cast<int64_t>(doomed.size());
 }
 
-void RStarTree::CondenseTree(Node* leaf) {
-  const int min_fill = MinEntries(params_.max_entries);
-  std::vector<std::unique_ptr<Node>> orphans;
+void RStarTree::CondenseTree(uint32_t leaf) {
+  const uint32_t min_fill = MinEntries(max_entries_);
+  std::vector<uint32_t> orphans;
 
-  Node* node = leaf;
-  while (node != root_.get()) {
-    Node* parent = node->parent;
-    if (static_cast<int>(node->entries.size()) < min_fill) {
+  uint32_t node = leaf;
+  while (node != root_) {
+    const uint32_t parent = parent_[node];
+    if (Count(node) < min_fill) {
       // Detach the underfull node from its parent and queue its entries
       // for re-insertion.
-      for (size_t i = 0; i < parent->entries.size(); ++i) {
-        if (parent->entries[i].child.get() == node) {
-          orphans.push_back(std::move(parent->entries[i].child));
-          parent->entries.erase(parent->entries.begin() + i);
-          break;
-        }
-      }
+      RemoveSlot(parent, SlotOf(parent, node));
+      parent_[node] = kNoParent;
+      orphans.push_back(node);
     } else {
-      // Tighten this node's rect in the parent.
-      for (Entry& e : parent->entries) {
-        if (e.child.get() == node) {
-          e.rect = node->ComputeBoundingRect(dim_);
-          break;
-        }
-      }
+      RefreshEntry(parent, node);
     }
     node = parent;
   }
 
   // Shrink the root: an internal root with one child gets replaced by it.
-  while (!root_->is_leaf() && root_->entries.size() == 1) {
-    std::unique_ptr<Node> child = std::move(root_->entries[0].child);
-    child->parent = nullptr;
-    root_ = std::move(child);
+  while (Level(root_) > 0 && Count(root_) == 1) {
+    const uint32_t child = static_cast<uint32_t>(View(root_).value[0]);
+    FreeNode(root_);
+    root_ = child;
+    parent_[child] = kNoParent;
   }
-  if (!root_->is_leaf() && root_->entries.empty()) {
+  if (Level(root_) > 0 && Count(root_) == 0) {
     // All children dissolved: reset to an empty leaf.
-    root_ = std::make_unique<Node>();
+    FreeNode(root_);
+    root_ = AllocNode(0);
   }
 
   // Re-insert orphaned subtrees' entries at their original levels (leaf
-  // data re-enters at level 0; internal entries keep their subtree level).
-  for (std::unique_ptr<Node>& orphan : orphans) {
-    if (orphan->is_leaf()) {
-      for (Entry& e : orphan->entries) {
-        reinserted_at_level_.assign(root_->level + 2, false);
-        InsertAtLevel(std::move(e), 0);
+  // data re-enters at level 0; the entries of a level-L node re-enter at
+  // level L, their children staying at L - 1).
+  for (uint32_t orphan : orphans) {
+    const uint32_t level = Level(orphan);
+    std::vector<Entry> entries = Entries(orphan);
+    FreeNode(orphan);
+    for (Entry& e : entries) {
+      reinserted_at_level_.assign(Level(root_) + 2, false);
+      if (level <= Level(root_)) {
+        InsertAtLevel(std::move(e), level);
+        continue;
       }
-    } else {
-      for (Entry& e : orphan->entries) {
-        reinserted_at_level_.assign(root_->level + 2, false);
-        // Entries of a level-L node re-enter at level L (their children
-        // stay at L-1).
-        int target = orphan->level;
-        if (target > root_->level) {
-          // The tree shrank below this subtree's height: dismantle the
-          // subtree down to data entries and re-insert those.
-          std::vector<std::unique_ptr<Node>> sub;
-          sub.push_back(std::move(e.child));
-          while (!sub.empty()) {
-            std::unique_ptr<Node> n = std::move(sub.back());
-            sub.pop_back();
-            for (Entry& se : n->entries) {
-              if (n->is_leaf()) {
-                reinserted_at_level_.assign(root_->level + 2, false);
-                InsertAtLevel(std::move(se), 0);
-              } else {
-                sub.push_back(std::move(se.child));
-              }
-            }
+      // The tree shrank below this subtree's height: dismantle the subtree
+      // down to data entries and re-insert those.
+      std::vector<uint32_t> sub = {static_cast<uint32_t>(e.value)};
+      while (!sub.empty()) {
+        const uint32_t n = sub.back();
+        sub.pop_back();
+        const uint32_t n_level = Level(n);
+        std::vector<Entry> n_entries = Entries(n);
+        FreeNode(n);
+        for (Entry& se : n_entries) {
+          if (n_level > 0) {
+            sub.push_back(static_cast<uint32_t>(se.value));
+            continue;
           }
-        } else {
-          InsertAtLevel(std::move(e), target);
+          reinserted_at_level_.assign(Level(root_) + 2, false);
+          InsertAtLevel(std::move(se), 0);
         }
       }
     }
@@ -585,38 +675,18 @@ void RStarTree::CondenseTree(Node* leaf) {
 
 void RStarTree::RangeSearchVisit(
     const Rect& query,
-    const std::function<bool(const Rect&, uint64_t)>& visitor) const {
+    const std::function<bool(const RectView&, uint64_t)>& visitor) const {
   WALRUS_CHECK_EQ(query.dim(), dim_);
-  static Counter* const probes =
-      MetricsRegistry::Global().GetCounter("walrus.rstar.range_probes");
-  static Counter* const nodes =
-      MetricsRegistry::Global().GetCounter("walrus.rstar.nodes_visited");
-  probes->Increment();
-  // Accumulate locally so concurrent read-only searches do not race.
-  int64_t visited = 0;
-  std::vector<const Node*> stack = {root_.get()};
-  while (!stack.empty()) {
-    const Node* node = stack.back();
-    stack.pop_back();
-    ++visited;
-    for (const Entry& e : node->entries) {
-      if (!e.rect.Intersects(query)) continue;
-      if (node->is_leaf()) {
-        if (!visitor(e.rect, e.payload)) {
-          nodes->Increment(static_cast<uint64_t>(visited));
-          return;
-        }
-      } else {
-        stack.push_back(e.child.get());
-      }
-    }
-  }
-  nodes->Increment(static_cast<uint64_t>(visited));
+  RangeQueryBatch({query}, [&visitor](int, const RectView& bounds,
+                                      uint64_t payload) {
+    return visitor(bounds, payload);
+  });
 }
 
 int64_t RStarTree::RangeQueryBatch(
     const std::vector<Rect>& probes,
-    const std::function<bool(int, const Rect&, uint64_t)>& visitor) const {
+    const std::function<bool(int, const RectView&, uint64_t)>& visitor)
+    const {
   static Counter* const batch_probes =
       MetricsRegistry::Global().GetCounter("walrus.rstar.batch_probes");
   static Counter* const range_probes =
@@ -627,8 +697,6 @@ int64_t RStarTree::RangeQueryBatch(
       MetricsRegistry::Global().GetHistogram("walrus.probe.batch_occupancy",
                                              ExponentialBuckets(1, 2, 12));
   batch_probes->Increment();
-  // A batch of N probes answers N range probes; keep the per-probe counter
-  // meaningful regardless of traversal strategy.
   range_probes->Increment(static_cast<uint64_t>(probes.size()));
 
   // Probe visit order: Hilbert on the first two center dimensions, so that
@@ -663,23 +731,23 @@ int64_t RStarTree::RangeQueryBatch(
 
   const simd::KernelTable& kern = simd::Active();
   // Active sets live in one append-only arena; each frame references a
-  // slice of it. Child slices are appended in place of per-frame vector
-  // allocations, and a frame whose active set did not split (single probe)
-  // reuses its parent's slice outright.
+  // slice of it, and each child's slice is appended in place of a
+  // per-frame vector allocation.
   struct Frame {
-    const Node* node;
+    uint32_t node;
     uint32_t begin;  // arena offset of this frame's active probe indices
     uint32_t len;
   };
   std::vector<int> arena = std::move(order);
   std::vector<Frame> stack;
-  stack.push_back({root_.get(), 0, static_cast<uint32_t>(arena.size())});
+  stack.push_back({root_, 0, static_cast<uint32_t>(arena.size())});
 
   // Call-local scratch (concurrent readers share no traversal state).
-  std::vector<float> scratch_lo;
-  std::vector<float> scratch_hi;
+  const int words = (max_entries_ + 63) / 64;
   std::vector<uint64_t> masks;  // probe-major: masks[pi * words + w]
   std::vector<Frame> pending;   // children of the current node, entry order
+  std::vector<float> hit(2 * static_cast<size_t>(dim_));  // lo, then hi
+  const RectView hit_view{hit.data(), hit.data() + dim_, dim_};
   int64_t visited = 0;
   const auto finish = [&] {
     nodes->Increment(static_cast<uint64_t>(visited));
@@ -689,99 +757,58 @@ int64_t RStarTree::RangeQueryBatch(
   while (!stack.empty()) {
     const Frame frame = stack.back();
     stack.pop_back();
-    const Node* node = frame.node;
+    const NodeView n = View(frame.node);
     ++visited;
     occupancy->Observe(static_cast<double>(frame.len));
-    const int m = static_cast<int>(node->entries.size());
-    if (m == 0) continue;
+    const int count = static_cast<int>(n.count);
+    if (count == 0) continue;
+    masks.resize(static_cast<size_t>(words) * frame.len);
+    for (uint32_t pi = 0; pi < frame.len; ++pi) {
+      const Rect& probe = probes[arena[frame.begin + pi]];
+      kern.batch_intersects(n.lo, n.hi, max_entries_, dim_, count,
+                            probe.lo().data(), probe.hi().data(),
+                            masks.data() + static_cast<size_t>(pi) * words);
+    }
 
-    if (frame.len == 1) {
-      // Single active probe: a per-entry test beats packing the node into
-      // SoA scratch (the pack would be read exactly once).
-      const int p = arena[frame.begin];
-      const Rect& probe = probes[p];
-      if (node->is_leaf()) {
-        for (const Entry& ent : node->entries) {
-          if (kern.rect_intersects(ent.rect.lo().data(),
-                                   ent.rect.hi().data(), probe.lo().data(),
-                                   probe.hi().data(), dim_)) {
-            if (!visitor(p, ent.rect, ent.payload)) return finish();
-          }
-        }
-      } else {
-        // Reverse entry order so the DFS pops children first-entry-first.
-        for (int e = m - 1; e >= 0; --e) {
-          const Entry& ent = node->entries[e];
-          if (kern.rect_intersects(ent.rect.lo().data(),
-                                   ent.rect.hi().data(), probe.lo().data(),
-                                   probe.hi().data(), dim_)) {
-            stack.push_back({ent.child.get(), frame.begin, 1});
+    if (n.level == 0) {
+      for (uint32_t pi = 0; pi < frame.len; ++pi) {
+        const int p = arena[frame.begin + pi];
+        for (int w = 0; w < words; ++w) {
+          uint64_t bits = masks[static_cast<size_t>(pi) * words + w];
+          while (bits != 0) {
+            const int e = w * 64 + std::countr_zero(bits);
+            bits &= bits - 1;
+            for (int d = 0; d < dim_; ++d) {
+              hit[d] = n.lo[static_cast<size_t>(d) * max_entries_ + e];
+              hit[dim_ + d] = n.hi[static_cast<size_t>(d) * max_entries_ + e];
+            }
+            if (!visitor(p, hit_view, n.value[e])) return finish();
           }
         }
       }
       continue;
     }
 
-    // Pack this node's rects once; every active probe filters against the
-    // same SoA block.
-    scratch_lo.resize(static_cast<size_t>(dim_) * m);
-    scratch_hi.resize(static_cast<size_t>(dim_) * m);
-    for (int e = 0; e < m; ++e) {
-      const Rect& r = node->entries[e].rect;
-      for (int d = 0; d < dim_; ++d) {
-        scratch_lo[static_cast<size_t>(d) * m + e] = r.lo(d);
-        scratch_hi[static_cast<size_t>(d) * m + e] = r.hi(d);
+    // Gather each child's active probes (probe order preserved) into fresh
+    // arena slices, then push in reverse entry order so the DFS pops
+    // children first-entry-first.
+    pending.clear();
+    for (int e = 0; e < count; ++e) {
+      const uint32_t begin = static_cast<uint32_t>(arena.size());
+      const int w = e >> 6;
+      const uint64_t bit = uint64_t{1} << (e & 63);
+      for (uint32_t pi = 0; pi < frame.len; ++pi) {
+        if (masks[static_cast<size_t>(pi) * words + w] & bit) {
+          arena.push_back(arena[frame.begin + pi]);
+        }
+      }
+      const uint32_t len = static_cast<uint32_t>(arena.size()) - begin;
+      if (len > 0) {
+        pending.push_back({static_cast<uint32_t>(n.value[e]), begin, len});
       }
     }
-    const int words = (m + 63) / 64;
-
-    if (node->is_leaf()) {
-      masks.resize(words);
-      for (uint32_t pi = 0; pi < frame.len; ++pi) {
-        const int p = arena[frame.begin + pi];
-        kern.batch_intersects(scratch_lo.data(), scratch_hi.data(), m, dim_,
-                              m, probes[p].lo().data(),
-                              probes[p].hi().data(), masks.data());
-        for (int w = 0; w < words; ++w) {
-          uint64_t bits = masks[w];
-          while (bits != 0) {
-            const int e = w * 64 + std::countr_zero(bits);
-            bits &= bits - 1;
-            const Entry& ent = node->entries[e];
-            if (!visitor(p, ent.rect, ent.payload)) return finish();
-          }
-        }
-      }
-    } else {
-      masks.resize(static_cast<size_t>(words) * frame.len);
-      for (uint32_t pi = 0; pi < frame.len; ++pi) {
-        const int p = arena[frame.begin + pi];
-        kern.batch_intersects(scratch_lo.data(), scratch_hi.data(), m, dim_,
-                              m, probes[p].lo().data(),
-                              probes[p].hi().data(),
-                              masks.data() + static_cast<size_t>(pi) * words);
-      }
-      // Gather each child's active probes (probe order preserved) into
-      // fresh arena slices, then push in reverse entry order so the DFS
-      // pops children first-entry-first.
-      pending.clear();
-      for (int e = 0; e < m; ++e) {
-        const uint32_t begin = static_cast<uint32_t>(arena.size());
-        const int w = e >> 6;
-        const uint64_t bit = uint64_t{1} << (e & 63);
-        for (uint32_t pi = 0; pi < frame.len; ++pi) {
-          if (masks[static_cast<size_t>(pi) * words + w] & bit) {
-            arena.push_back(arena[frame.begin + pi]);
-          }
-        }
-        const uint32_t len = static_cast<uint32_t>(arena.size()) - begin;
-        if (len > 0) {
-          pending.push_back({node->entries[e].child.get(), begin, len});
-        }
-      }
-      for (auto it = pending.rbegin(); it != pending.rend(); ++it) {
-        stack.push_back(*it);
-      }
+    for (auto it = pending.rbegin(); it != pending.rend(); ++it) {
+      stack.push_back(*it);
     }
   }
   return finish();
@@ -789,7 +816,7 @@ int64_t RStarTree::RangeQueryBatch(
 
 std::vector<uint64_t> RStarTree::RangeSearch(const Rect& query) const {
   std::vector<uint64_t> out;
-  RangeSearchVisit(query, [&out](const Rect&, uint64_t payload) {
+  RangeSearchVisit(query, [&out](const RectView&, uint64_t payload) {
     out.push_back(payload);
     return true;
   });
@@ -809,42 +836,41 @@ std::vector<std::pair<uint64_t, double>> RStarTree::NearestNeighbors(
 
   struct QueueItem {
     double dist;
-    const Node* node;    // non-null for subtree items
-    const Entry* entry;  // non-null for leaf-entry items
+    uint64_t value;  // child node id (subtree) or payload (entry)
+    bool entry;
     /// Min-heap order: distance first; at equal distance subtrees pop
     /// before leaf entries (an unexpanded subtree may still hold an
     /// equal-distance entry with a smaller payload), and tied entries pop
     /// by payload. This makes the neighbor list a function of the entry
-    /// set alone, not of tree layout, so bulk-loaded and incrementally
-    /// built trees return identical results even under distance ties.
+    /// set alone, not of tree layout.
     bool operator>(const QueueItem& other) const {
       if (dist != other.dist) return dist > other.dist;
-      const bool leaf = entry != nullptr;
-      const bool other_leaf = other.entry != nullptr;
-      if (leaf != other_leaf) return leaf;
-      if (leaf) return entry->payload > other.entry->payload;
-      return false;
+      if (entry != other.entry) return entry;
+      return entry && value > other.value;
     }
   };
   std::priority_queue<QueueItem, std::vector<QueueItem>, std::greater<>> heap;
-  heap.push({0.0, root_.get(), nullptr});
+  heap.push({0.0, root_, false});
 
+  const simd::KernelTable& kern = simd::Active();
+  std::vector<double> dists(static_cast<size_t>(max_entries_));
   std::vector<std::pair<uint64_t, double>> result;
   while (!heap.empty() && static_cast<int>(result.size()) < k) {
-    QueueItem item = heap.top();
+    const QueueItem item = heap.top();
     heap.pop();
-    if (item.entry != nullptr) {
-      result.emplace_back(item.entry->payload, std::sqrt(item.dist));
+    if (item.entry) {
+      result.emplace_back(item.value, std::sqrt(item.dist));
       continue;
     }
     ++visited;
-    for (const Entry& e : item.node->entries) {
-      double d = e.rect.MinSquaredDistance(point);
-      if (item.node->is_leaf()) {
-        heap.push({d, nullptr, &e});
-      } else {
-        heap.push({d, e.child.get(), nullptr});
-      }
+    const NodeView n = View(static_cast<uint32_t>(item.value));
+    // One batch kernel call scores every entry (bit-identical to the
+    // per-entry MinSquaredDistance: each lane runs the scalar dim loop).
+    kern.batch_min_squared_distance(n.lo, n.hi, max_entries_, dim_,
+                                    static_cast<int>(n.count), point.data(),
+                                    dists.data());
+    for (uint32_t e = 0; e < n.count; ++e) {
+      heap.push({dists[e], n.value[e], n.level == 0});
     }
   }
   nodes->Increment(static_cast<uint64_t>(visited));
@@ -852,73 +878,87 @@ std::vector<std::pair<uint64_t, double>> RStarTree::NearestNeighbors(
   return result;
 }
 
-Rect RStarTree::BoundingRect() const { return root_->ComputeBoundingRect(dim_); }
+Status RStarTree::Validate() const { return CheckStructure(/*deep=*/true); }
 
-Status RStarTree::Validate() const {
-  // Walk the tree iteratively; validate levels, fills and bounding rects.
-  struct Item {
-    const Node* node;
-    const Rect* parent_rect;
+Status RStarTree::CheckStructure(bool deep) const {
+  if (root_ >= node_count_) return Status::Internal("root id out of range");
+  const auto at = [](uint32_t node) {
+    return " at node " + std::to_string(node);
   };
-  std::vector<Item> stack = {{root_.get(), nullptr}};
-  int min_fill = MinEntries(params_.max_entries);
+  const uint32_t min_fill = MinEntries(max_entries_);
+  std::vector<uint8_t> reached(node_count_, 0);
+  for (uint32_t id : free_) reached[id] = 1;
+  struct Item {
+    uint32_t node;
+    uint32_t level;   // the level its parent implies
+    uint32_t parent;  // kNoParent for the root
+    uint32_t slot;    // its entry in the parent
+  };
+  std::vector<Item> stack = {{root_, Level(root_), kNoParent, 0}};
   int64_t leaf_entries = 0;
+  size_t reached_count = free_.size();
   while (!stack.empty()) {
-    Item item = stack.back();
+    const Item item = stack.back();
     stack.pop_back();
-    const Node* node = item.node;
-    int count = static_cast<int>(node->entries.size());
-    if (count > params_.max_entries) {
-      return Status::Internal("node overflow: " + std::to_string(count));
+    if (reached[item.node] != 0) {
+      return Status::Internal("node reached twice (cycle, shared or free)" +
+                              at(item.node));
     }
-    if (node != root_.get() && count < min_fill) {
-      return Status::Internal("node underflow: " + std::to_string(count));
+    reached[item.node] = 1;
+    ++reached_count;
+    const NodeView n = View(item.node);
+    if (n.level != item.level) {
+      return Status::Internal("level mismatch" + at(item.node));
     }
-    if (node->level < 0) {
-      return Status::Internal("negative node level");
+    if (n.count > static_cast<uint32_t>(max_entries_)) {
+      return Status::Internal("node overflow: " + std::to_string(n.count) +
+                              at(item.node));
     }
-    if (item.parent_rect != nullptr) {
-      Rect bounds = node->ComputeBoundingRect(dim_);
-      if (!(*item.parent_rect == bounds)) {
-        return Status::Internal("stale parent bounding rect");
+    if (item.parent != kNoParent && n.count < min_fill) {
+      return Status::Internal("node underflow: " + std::to_string(n.count) +
+                              at(item.node));
+    }
+    for (int d = 0; d < dim_; ++d) {
+      const float* lo = n.lo + static_cast<size_t>(d) * max_entries_;
+      const float* hi = n.hi + static_cast<size_t>(d) * max_entries_;
+      for (uint32_t e = 0; e < n.count; ++e) {
+        if (!(lo[e] <= hi[e])) {
+          return Status::Internal("inverted or NaN bounds" + at(item.node));
+        }
+      }
+      if (deep && item.parent != kNoParent) {
+        const NodeView p = View(item.parent);
+        const size_t slot = static_cast<size_t>(d) * max_entries_ + item.slot;
+        if (*std::min_element(lo, lo + n.count) != p.lo[slot] ||
+            *std::max_element(hi, hi + n.count) != p.hi[slot]) {
+          return Status::Internal("stale parent bounding rect" +
+                                  at(item.node));
+        }
       }
     }
-    for (const Entry& e : node->entries) {
-      if (e.rect.IsEmpty()) {
-        return Status::Internal("empty entry rect");
+    if (deep && !is_mapped() && parent_[item.node] != item.parent) {
+      return Status::Internal("bad parent id" + at(item.node));
+    }
+    if (n.level == 0) {
+      leaf_entries += n.count;
+      continue;
+    }
+    for (uint32_t e = 0; e < n.count; ++e) {
+      if (n.value[e] >= node_count_) {
+        return Status::Internal("child id out of range" + at(item.node));
       }
-      if (e.rect.dim() != dim_) {
-        return Status::Internal("entry rect dimension " +
-                                std::to_string(e.rect.dim()) + " != tree " +
-                                std::to_string(dim_));
-      }
-      if (item.parent_rect != nullptr &&
-          !item.parent_rect->ContainsRect(e.rect)) {
-        return Status::Internal("entry rect escapes parent MBR");
-      }
-      if (node->is_leaf()) {
-        ++leaf_entries;
-        if (e.child != nullptr) {
-          return Status::Internal("leaf entry with child");
-        }
-      } else {
-        if (e.child == nullptr) {
-          return Status::Internal("internal entry without child");
-        }
-        if (e.child->level != node->level - 1) {
-          return Status::Internal("level mismatch");
-        }
-        if (e.child->parent != node) {
-          return Status::Internal("bad parent pointer");
-        }
-        stack.push_back({e.child.get(), &e.rect});
-      }
+      stack.push_back(
+          {static_cast<uint32_t>(n.value[e]), n.level - 1, item.node, e});
     }
   }
   if (leaf_entries != size_) {
     return Status::Internal("size mismatch: counted " +
                             std::to_string(leaf_entries) + " expected " +
                             std::to_string(size_));
+  }
+  if (reached_count != node_count_) {
+    return Status::Internal(std::to_string(node_count_ - reached_count) +
+                            " nodes unreachable from the root");
   }
   return Status::OK();
 }
@@ -993,179 +1033,209 @@ RStarTree RStarTree::BulkLoad(int dim,
   };
   tile(0, static_cast<int>(entries.size()), 0);
 
-  // Build the leaf level.
-  std::vector<std::unique_ptr<Node>> level;
+  // Build the leaf level; the constructor's empty root slot is reused.
+  tree.FreeNode(tree.root_);
+  std::vector<uint32_t> level;
   for (const Range& range : groups) {
-    auto node = std::make_unique<Node>();
-    node->level = 0;
-    node->entries.reserve(range.end - range.begin);
+    const uint32_t node = tree.AllocNode(0);
     for (int i = range.begin; i < range.end; ++i) {
-      Entry e;
-      e.rect = entries[order[i]].first;
-      e.payload = entries[order[i]].second;
-      node->entries.push_back(std::move(e));
+      tree.PutEntry(node, static_cast<uint32_t>(i - range.begin),
+                    entries[order[i]].first, entries[order[i]].second);
     }
-    level.push_back(std::move(node));
+    tree.SetCount(node, static_cast<uint32_t>(range.end - range.begin));
+    level.push_back(node);
   }
 
-  // Pack upward until a single root remains. Upper levels reuse the same
-  // STR tiling over the child bounding rects.
-  int current_level = 0;
+  // Pack upward until a single root remains. One STR pass (sort children
+  // by dim-0 center and chunk) is enough for the modest fan-in of upper
+  // levels.
+  uint32_t current_level = 0;
   while (level.size() > 1) {
     ++current_level;
-    std::vector<std::pair<Rect, int>> child_rects;
-    child_rects.reserve(level.size());
-    for (size_t i = 0; i < level.size(); ++i) {
-      child_rects.emplace_back(level[i]->ComputeBoundingRect(dim),
-                               static_cast<int>(i));
+    std::vector<Entry> children;
+    children.reserve(level.size());
+    for (uint32_t child : level) {
+      children.push_back({tree.NodeBounds(child), child});
     }
-    std::vector<int> child_order(level.size());
-    for (size_t i = 0; i < child_order.size(); ++i) {
-      child_order[i] = static_cast<int>(i);
-    }
-    groups.clear();
-    // Reuse `tile` machinery with a fresh order array: simplest is to sort
-    // children by dim-0 center and chunk (one STR pass is enough for the
-    // modest fan-in of upper levels).
-    std::sort(child_order.begin(), child_order.end(), [&](int a, int b) {
-      const Rect& ra = child_rects[a].first;
-      const Rect& rb = child_rects[b].first;
-      return ra.lo(0) + ra.hi(0) < rb.lo(0) + rb.hi(0);
-    });
-    int n = static_cast<int>(level.size());
-    int num_groups = (n + capacity - 1) / capacity;
-    std::vector<int> sizes = BalancedChunks(n, num_groups);
-    std::vector<std::unique_ptr<Node>> next;
+    std::sort(children.begin(), children.end(),
+              [](const Entry& a, const Entry& b) {
+                return a.rect.lo(0) + a.rect.hi(0) <
+                       b.rect.lo(0) + b.rect.hi(0);
+              });
+    const int n = static_cast<int>(children.size());
+    std::vector<int> sizes = BalancedChunks(n, (n + capacity - 1) / capacity);
+    std::vector<uint32_t> next;
     int at = 0;
     for (int size : sizes) {
-      auto node = std::make_unique<Node>();
-      node->level = current_level;
-      node->entries.reserve(size);
-      for (int i = at; i < at + size; ++i) {
-        Entry e;
-        e.rect = child_rects[child_order[i]].first;
-        e.child = std::move(level[child_order[i]]);
-        e.child->parent = node.get();
-        node->entries.push_back(std::move(e));
-      }
+      const uint32_t node = tree.AllocNode(current_level);
+      tree.SetEntries(node, std::vector<Entry>(children.begin() + at,
+                                               children.begin() + at + size));
       at += size;
-      next.push_back(std::move(node));
+      next.push_back(node);
     }
     level = std::move(next);
   }
 
-  tree.root_ = std::move(level[0]);
-  tree.root_->parent = nullptr;
+  tree.root_ = level[0];
   tree.size_ = static_cast<int64_t>(entries.size());
   return tree;
 }
 
-namespace {
-
-void SerializeRect(const Rect& rect, BinaryWriter* writer) {
-  writer->PutU8(rect.IsEmpty() ? 1 : 0);
-  writer->PutU32(static_cast<uint32_t>(rect.dim()));
-  for (int i = 0; i < rect.dim(); ++i) writer->PutFloat(rect.lo(i));
-  for (int i = 0; i < rect.dim(); ++i) writer->PutFloat(rect.hi(i));
-}
-
-Result<Rect> DeserializeRect(BinaryReader* reader) {
-  WALRUS_ASSIGN_OR_RETURN(uint8_t empty, reader->GetU8());
-  WALRUS_ASSIGN_OR_RETURN(uint32_t dim, reader->GetU32());
-  if (dim > 4096) return Status::Corruption("rect: absurd dimension");
-  std::vector<float> lo(dim), hi(dim);
-  for (uint32_t i = 0; i < dim; ++i) {
-    WALRUS_ASSIGN_OR_RETURN(lo[i], reader->GetFloat());
-  }
-  for (uint32_t i = 0; i < dim; ++i) {
-    WALRUS_ASSIGN_OR_RETURN(hi[i], reader->GetFloat());
-  }
-  if (empty != 0) return Rect::Empty(static_cast<int>(dim));
-  // Untrusted input: reject inverted or NaN bounds with an error instead of
-  // tripping Rect::Bounds' programmer-error check.
-  for (uint32_t i = 0; i < dim; ++i) {
-    if (!(lo[i] <= hi[i])) {
-      return Status::Corruption("rect: inverted or NaN bounds");
-    }
-  }
-  return Rect::Bounds(std::move(lo), std::move(hi));
-}
-
-}  // namespace
-
 void RStarTree::Serialize(BinaryWriter* writer) const {
   WALRUS_CHECK(writer != nullptr);
-  writer->PutU32(0x52535452);  // "RSTR"
-  writer->PutU32(static_cast<uint32_t>(dim_));
-  writer->PutU32(static_cast<uint32_t>(params_.max_entries));
-  writer->PutDouble(params_.reinsert_fraction);
-  writer->PutU8(static_cast<uint8_t>(params_.split_policy));
-  writer->PutU8(params_.use_forced_reinsert ? 1 : 0);
-  writer->PutU64(static_cast<uint64_t>(size_));
-
-  // Pre-order dump.
-  std::function<void(const Node*)> dump = [&](const Node* node) {
-    writer->PutU32(static_cast<uint32_t>(node->level));
-    writer->PutU32(static_cast<uint32_t>(node->entries.size()));
-    for (const Entry& e : node->entries) {
-      SerializeRect(e.rect, writer);
-      if (node->is_leaf()) {
-        writer->PutU64(e.payload);
-      } else {
-        dump(e.child.get());
-      }
+  // Breadth-first from the root: ids become dense and the root is node 0.
+  std::vector<uint32_t> order = {root_};
+  std::vector<uint32_t> new_id(node_count_, kNoParent);
+  new_id[root_] = 0;
+  for (size_t i = 0; i < order.size(); ++i) {
+    const NodeView n = View(order[i]);
+    if (n.level == 0) continue;
+    for (uint32_t e = 0; e < n.count; ++e) {
+      const auto child = static_cast<uint32_t>(n.value[e]);
+      new_id[child] = static_cast<uint32_t>(order.size());
+      order.push_back(child);
     }
-  };
-  dump(root_.get());
+  }
+
+  BinaryWriter header;
+  header.PutU32(kImageMagic);
+  header.PutU32(kImageVersion);
+  header.PutU32(static_cast<uint32_t>(dim_));
+  header.PutU32(static_cast<uint32_t>(max_entries_));
+  header.PutU32(static_cast<uint32_t>(order.size()));
+  header.PutU32(0);  // root
+  header.PutU64(static_cast<uint64_t>(size_));
+  header.PutU32(static_cast<uint32_t>(height()));
+  header.PutU32(0);
+  WALRUS_CHECK_EQ(header.size(), kHeaderBytes);
+  uint32_t crc = Crc32(header.buffer().data(), header.size());
+  writer->PutBytes(header.buffer().data(), header.size());
+
+  // Each node with its used slots; unused slots are written as zero.
+  const size_t plane = static_cast<size_t>(dim_) * max_entries_;
+  const size_t values = kNodeHeaderBytes + 8 * plane;
+  std::vector<uint8_t> out(node_bytes_);
+  for (uint32_t id : order) {
+    const NodeView n = View(id);
+    std::fill(out.begin(), out.end(), 0);
+    std::memcpy(out.data(), &n.level, 4);
+    std::memcpy(out.data() + 4, &n.count, 4);
+    for (size_t d = 0; d < 2 * static_cast<size_t>(dim_); ++d) {
+      std::memcpy(out.data() + kNodeHeaderBytes + 4 * d * max_entries_,
+                  n.lo + d * max_entries_, 4 * static_cast<size_t>(n.count));
+    }
+    for (uint32_t e = 0; e < n.count; ++e) {
+      const uint64_t value = n.level == 0 ? n.value[e] : new_id[n.value[e]];
+      std::memcpy(out.data() + values + 8 * static_cast<size_t>(e), &value, 8);
+    }
+    crc = Crc32Extend(crc, out.data(), out.size());
+    writer->PutBytes(out.data(), out.size());
+  }
+  writer->PutU32(crc);
 }
 
-Result<RStarTree> RStarTree::Deserialize(BinaryReader* reader) {
-  WALRUS_CHECK(reader != nullptr);
-  WALRUS_ASSIGN_OR_RETURN(uint32_t magic, reader->GetU32());
-  if (magic != 0x52535452) return Status::Corruption("rstar: bad magic");
-  WALRUS_ASSIGN_OR_RETURN(uint32_t dim, reader->GetU32());
-  WALRUS_ASSIGN_OR_RETURN(uint32_t max_entries, reader->GetU32());
-  WALRUS_ASSIGN_OR_RETURN(double reinsert_fraction, reader->GetDouble());
-  WALRUS_ASSIGN_OR_RETURN(uint8_t split_policy, reader->GetU8());
-  WALRUS_ASSIGN_OR_RETURN(uint8_t forced_reinsert, reader->GetU8());
-  WALRUS_ASSIGN_OR_RETURN(uint64_t size, reader->GetU64());
-  if (dim == 0 || max_entries < 4 || split_policy > 1) {
-    return Status::Corruption("rstar: header");
+Status RStarTree::WriteFile(const std::string& path) const {
+  BinaryWriter writer;
+  Serialize(&writer);
+  const std::string tmp = path + ".tmp";
+  WALRUS_RETURN_IF_ERROR(WriteFileBytes(tmp, writer.buffer()));
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    return Status::IOError("cannot rename " + tmp + " to " + path);
+  }
+  return Status::OK();
+}
+
+Result<RStarTree> RStarTree::Deserialize(std::span<const uint8_t> image) {
+  return Load(image, nullptr);
+}
+
+Result<RStarTree> RStarTree::OpenMapped(const std::string& path) {
+  WALRUS_ASSIGN_OR_RETURN(std::unique_ptr<Mapping> mapping,
+                          Mapping::Open(path));
+  const std::span<const uint8_t> image = mapping->bytes();
+  return Load(image, std::move(mapping));
+}
+
+Result<RStarTree> RStarTree::Load(std::span<const uint8_t> image,
+                                  std::unique_ptr<Mapping> mapping) {
+  if (image.size() < kHeaderBytes + kCrcBytes) {
+    return Status::Corruption("rstar: truncated image (" +
+                              std::to_string(image.size()) + " bytes)");
+  }
+  BinaryReader header(image.data(), kHeaderBytes);
+  WALRUS_ASSIGN_OR_RETURN(uint32_t magic, header.GetU32());
+  WALRUS_ASSIGN_OR_RETURN(uint32_t version, header.GetU32());
+  WALRUS_ASSIGN_OR_RETURN(uint32_t dim, header.GetU32());
+  WALRUS_ASSIGN_OR_RETURN(uint32_t max_entries, header.GetU32());
+  WALRUS_ASSIGN_OR_RETURN(uint32_t node_count, header.GetU32());
+  WALRUS_ASSIGN_OR_RETURN(uint32_t root, header.GetU32());
+  WALRUS_ASSIGN_OR_RETURN(uint64_t size, header.GetU64());
+  WALRUS_ASSIGN_OR_RETURN(uint32_t height, header.GetU32());
+  WALRUS_ASSIGN_OR_RETURN(uint32_t reserved, header.GetU32());
+  if (magic != kImageMagic) {
+    return Status::Corruption("rstar: bad magic (a file of another build?)");
+  }
+  if (version != kImageVersion) {
+    return Status::Corruption("rstar: unsupported format version " +
+                              std::to_string(version));
+  }
+  if (dim == 0 || dim > kMaxDim || max_entries < 4 ||
+      max_entries > static_cast<uint32_t>(kMaxEntries) || node_count == 0 ||
+      reserved != 0) {
+    return Status::Corruption("rstar: bad header");
+  }
+  const size_t node_bytes =
+      NodeBytes(static_cast<int>(dim), static_cast<int>(max_entries));
+  const uint64_t want = kHeaderBytes +
+                        static_cast<uint64_t>(node_count) * node_bytes +
+                        kCrcBytes;
+  if (image.size() != want) {
+    return Status::Corruption("rstar: image is " +
+                              std::to_string(image.size()) +
+                              " bytes, its header implies " +
+                              std::to_string(want));
+  }
+  uint32_t stored_crc;
+  std::memcpy(&stored_crc, image.data() + image.size() - kCrcBytes,
+              kCrcBytes);
+  if (Crc32(image.data(), image.size() - kCrcBytes) != stored_crc) {
+    return Status::Corruption("rstar: checksum mismatch");
   }
 
   RStarParams params;
   params.max_entries = static_cast<int>(max_entries);
-  params.reinsert_fraction = reinsert_fraction;
-  params.split_policy = static_cast<SplitPolicy>(split_policy);
-  params.use_forced_reinsert = forced_reinsert != 0;
   RStarTree tree(static_cast<int>(dim), params);
-
-  std::function<Result<std::unique_ptr<Node>>()> load =
-      [&]() -> Result<std::unique_ptr<Node>> {
-    WALRUS_ASSIGN_OR_RETURN(uint32_t level, reader->GetU32());
-    WALRUS_ASSIGN_OR_RETURN(uint32_t count, reader->GetU32());
-    if (count > max_entries + 1) return Status::Corruption("rstar: count");
-    auto node = std::make_unique<Node>();
-    node->level = static_cast<int>(level);
-    node->entries.reserve(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      Entry e;
-      WALRUS_ASSIGN_OR_RETURN(e.rect, DeserializeRect(reader));
-      if (level == 0) {
-        WALRUS_ASSIGN_OR_RETURN(e.payload, reader->GetU64());
-      } else {
-        WALRUS_ASSIGN_OR_RETURN(e.child, load());
-        if (e.child->level != node->level - 1) {
-          return Status::Corruption("rstar: level chain");
-        }
-        e.child->parent = node.get();
-      }
-      node->entries.push_back(std::move(e));
-    }
-    return node;
-  };
-  WALRUS_ASSIGN_OR_RETURN(tree.root_, load());
   tree.size_ = static_cast<int64_t>(size);
+  tree.root_ = root;
+  tree.node_count_ = node_count;
+  const std::span<const uint8_t> arena =
+      image.subspan(kHeaderBytes, image.size() - kHeaderBytes - kCrcBytes);
+  if (mapping != nullptr) {
+    tree.heap_ = {};
+    tree.parent_.clear();
+    tree.nodes_ = arena.data();
+    tree.mapping_ = std::move(mapping);
+  } else {
+    tree.heap_.assign(arena.begin(), arena.end());
+    tree.nodes_ = tree.heap_.data();
+  }
+  Status status = tree.CheckStructure(/*deep=*/false);
+  if (!status.ok()) return Status::Corruption("rstar: " + status.message());
+  if (height != tree.Level(root) + 1) {
+    return Status::Corruption("rstar: header height " +
+                              std::to_string(height) +
+                              " disagrees with the root level");
+  }
+  if (!tree.is_mapped()) {
+    tree.parent_.assign(node_count, kNoParent);
+    for (uint32_t id = 0; id < node_count; ++id) {
+      const NodeView n = tree.View(id);
+      if (n.level == 0) continue;
+      for (uint32_t e = 0; e < n.count; ++e) {
+        tree.parent_[static_cast<uint32_t>(n.value[e])] = id;
+      }
+    }
+  }
   return tree;
 }
 

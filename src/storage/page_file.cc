@@ -17,12 +17,16 @@ constexpr uint32_t kMagic = 0x32464750;  // "PGF2"
 constexpr uint32_t kMinPageSize = 64;
 
 void PutU32At(std::vector<uint8_t>* buf, size_t pos, uint32_t v) {
-  for (int i = 0; i < 4; ++i) (*buf)[pos + i] = static_cast<uint8_t>(v >> (8 * i));
+  for (int i = 0; i < 4; ++i) {
+    (*buf)[pos + i] = static_cast<uint8_t>(v >> (8 * i));
+  }
 }
 
 uint32_t GetU32At(const std::vector<uint8_t>& buf, size_t pos) {
   uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(buf[pos + i]) << (8 * i);
+  for (int i = 0; i < 4; ++i) {
+    v |= static_cast<uint32_t>(buf[pos + i]) << (8 * i);
+  }
   return v;
 }
 
@@ -37,11 +41,6 @@ PageFile& PageFile::operator=(PageFile&& other) noexcept {
     path_ = std::move(other.path_);
     page_size_ = other.page_size_;
     page_count_ = other.page_count_;
-    cache_capacity_ = other.cache_capacity_;
-    lru_ = std::move(other.lru_);
-    cache_index_ = std::move(other.cache_index_);
-    cache_hits_ = other.cache_hits_;
-    cache_misses_ = other.cache_misses_;
     other.file_ = nullptr;
   }
   return *this;
@@ -163,7 +162,6 @@ Status PageFile::WritePage(uint32_t id, const std::vector<uint8_t>& data) {
   if (data.size() != page_size_) {
     return Status::InvalidArgument("page data must be exactly one page");
   }
-  CacheErase(id);  // keep the cache coherent with the file
   return WritePageInternal(id, data);
 }
 
@@ -171,13 +169,6 @@ Result<std::vector<uint8_t>> PageFile::ReadPage(uint32_t id) {
   if (id == 0 || id >= page_count_) {
     return Status::InvalidArgument("page id out of range");
   }
-  auto it = cache_index_.find(id);
-  if (it != cache_index_.end()) {
-    ++cache_hits_;
-    lru_.splice(lru_.begin(), lru_, it->second);  // bump to most-recent
-    return it->second->data;
-  }
-  ++cache_misses_;
   std::vector<uint8_t> page(page_size_);
   long offset = static_cast<long>(id) * page_size_;
   if (std::fseek(file_, offset, SEEK_SET) != 0 ||
@@ -189,52 +180,7 @@ Result<std::vector<uint8_t>> PageFile::ReadPage(uint32_t id) {
     return Status::Corruption("page checksum mismatch: page " +
                               std::to_string(id));
   }
-  CacheInsert(id, page);
   return page;
-}
-
-Status PageFile::ValidateChecksums() {
-  std::vector<uint8_t> page(page_size_);
-  for (uint32_t id = 0; id < page_count_; ++id) {
-    long offset = static_cast<long>(id) * page_size_;
-    if (std::fseek(file_, offset, SEEK_SET) != 0 ||
-        std::fread(page.data(), 1, page.size(), file_) != page.size()) {
-      return Status::IOError("checksum sweep: cannot read page " +
-                             std::to_string(id));
-    }
-    size_t body = page.size() - kChecksumBytes;
-    if (GetU32At(page, body) != Crc32(page.data(), body)) {
-      return Status::Corruption("checksum sweep: page " + std::to_string(id) +
-                                " is corrupt");
-    }
-  }
-  return Status::OK();
-}
-
-void PageFile::SetCacheCapacity(int pages) {
-  WALRUS_CHECK_GE(pages, 0);
-  cache_capacity_ = pages;
-  while (static_cast<int>(lru_.size()) > cache_capacity_) {
-    cache_index_.erase(lru_.back().id);
-    lru_.pop_back();
-  }
-}
-
-void PageFile::CacheInsert(uint32_t id, const std::vector<uint8_t>& page) {
-  if (cache_capacity_ <= 0) return;
-  while (static_cast<int>(lru_.size()) >= cache_capacity_) {
-    cache_index_.erase(lru_.back().id);
-    lru_.pop_back();
-  }
-  lru_.push_front(CacheEntry{id, page});
-  cache_index_[id] = lru_.begin();
-}
-
-void PageFile::CacheErase(uint32_t id) {
-  auto it = cache_index_.find(id);
-  if (it == cache_index_.end()) return;
-  lru_.erase(it->second);
-  cache_index_.erase(it);
 }
 
 Result<BlobRef> PageFile::WriteBlob(const std::vector<uint8_t>& bytes) {

@@ -17,8 +17,8 @@ namespace {
 // delivers candidates node-grouped, but the candidate SET is fixed by the
 // exact kernels, and because the pipeline canonicalizes candidates before
 // matching, the ranked results are byte-identical at every ISA level.
-// (RStarBatch* in tests/spatial/rstar_batch_test.cc checks the traversal
-// itself against one RangeSearchVisit per probe.)
+// (RStarOracle in tests/spatial/rstar_oracle_test.cc checks the traversal
+// itself against a linear scan.)
 
 WalrusParams TestParams() {
   WalrusParams p;
@@ -34,8 +34,10 @@ ImageF NoisyImage(int w, int h, uint64_t seed) {
                                 rng.NextFloat()});
   // A few random rectangles give each image several distinct regions.
   for (int k = 0; k < 4; ++k) {
-    int bw = 8 + static_cast<int>(rng.NextBounded(static_cast<uint32_t>(w / 2)));
-    int bh = 8 + static_cast<int>(rng.NextBounded(static_cast<uint32_t>(h / 2)));
+    int bw = 8 + static_cast<int>(
+                     rng.NextBounded(static_cast<uint32_t>(w / 2)));
+    int bh = 8 + static_cast<int>(
+                     rng.NextBounded(static_cast<uint32_t>(h / 2)));
     ImageF block =
         MakeSolid(bw, bh, {rng.NextFloat(), rng.NextFloat(), rng.NextFloat()});
     Composite(&img, block,

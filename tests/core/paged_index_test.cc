@@ -1,4 +1,5 @@
 #include <cstdio>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,19 @@ WalrusParams TestParams() {
   p.max_window = 32;
   p.slide_step = 8;
   return p;
+}
+
+/// Bit-for-bit ranking equality.
+void ExpectSameRanking(const std::vector<QueryMatch>& want,
+                       const std::vector<QueryMatch>& got,
+                       const std::string& what) {
+  ASSERT_EQ(want.size(), got.size()) << what;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i].image_id, got[i].image_id) << what << " rank " << i;
+    EXPECT_EQ(want[i].similarity, got[i].similarity) << what << " rank " << i;
+    EXPECT_EQ(want[i].matching_pairs, got[i].matching_pairs) << what;
+    EXPECT_EQ(want[i].pairs_used, got[i].pairs_used) << what;
+  }
 }
 
 void RemovePagedFiles(const std::string& prefix) {
@@ -71,6 +85,15 @@ TEST_F(PagedIndexTest, PagedQueriesMatchInMemory) {
       }
     }
   }
+
+  // The mapped tree is read-only: every mutation answers Unimplemented and
+  // leaves the index as it was.
+  EXPECT_EQ(paged->AddImage(999, "new", dataset_[0].image).code(),
+            StatusCode::kUnimplemented);
+  EXPECT_EQ(paged->RemoveImage(static_cast<uint64_t>(dataset_[3].id)).code(),
+            StatusCode::kUnimplemented);
+  EXPECT_EQ(paged->ImageCount(), index_->ImageCount());
+  EXPECT_TRUE(paged->ValidateConsistency().ok());
   RemovePagedFiles(prefix);
 }
 
@@ -85,12 +108,46 @@ TEST_F(PagedIndexTest, PagedKnnQueriesWork) {
   auto memory = ExecuteQuery(*index_, dataset_[1].image, options);
   auto disk = ExecuteQuery(*paged, dataset_[1].image, options);
   ASSERT_TRUE(memory.ok() && disk.ok());
-  ASSERT_EQ(memory->size(), disk->size());
-  for (size_t i = 0; i < memory->size(); ++i) {
-    EXPECT_EQ((*memory)[i].image_id, (*disk)[i].image_id);
-    EXPECT_NEAR((*memory)[i].similarity, (*disk)[i].similarity, 1e-9);
-  }
+  ExpectSameRanking(*memory, *disk, "knn 3");
   RemovePagedFiles(prefix);
+
+  // Every scene indexed twice (ids i and i + 1000) puts two entries at
+  // exactly the same distance from each query region, so the k-th
+  // neighbour is a tie: the paged ranking must still equal the in-memory
+  // one bit for bit.
+  DatasetParams dp;
+  dp.num_images = 24;
+  dp.width = 64;
+  dp.height = 64;
+  dp.seed = 45;
+  const std::vector<LabeledImage> scenes = GenerateDataset(dp);
+  WalrusIndex twice(TestParams());
+  for (const LabeledImage& scene : scenes) {
+    auto record = WalrusIndex::ExtractImageRecord(
+        twice.params(), static_cast<uint64_t>(scene.id), "a", scene.image);
+    ASSERT_TRUE(record.ok()) << record.status();
+    ImageRecord copy = *record;
+    copy.image_id += 1000;
+    ASSERT_TRUE(twice.AddImageRecord(std::move(*record)).ok());
+    ASSERT_TRUE(twice.AddImageRecord(std::move(copy)).ok());
+  }
+  std::string twice_prefix = ::testing::TempDir() + "/walrus_paged_twice";
+  ASSERT_TRUE(twice.SavePaged(twice_prefix).ok());
+  auto twice_paged = WalrusIndex::OpenPaged(twice_prefix);
+  ASSERT_TRUE(twice_paged.ok()) << twice_paged.status();
+  for (int k : {1, 8}) {
+    QueryOptions knn;
+    knn.knn_per_region = k;
+    for (const LabeledImage& scene : scenes) {
+      auto want = ExecuteQuery(twice, scene.image, knn);
+      auto got = ExecuteQuery(*twice_paged, scene.image, knn);
+      ASSERT_TRUE(want.ok() && got.ok());
+      ExpectSameRanking(*want, *got,
+                        "k=" + std::to_string(k) + " scene " +
+                            std::to_string(scene.id));
+    }
+  }
+  RemovePagedFiles(twice_prefix);
 }
 
 TEST_F(PagedIndexTest, OpenPagedRejectsMissingPieces) {

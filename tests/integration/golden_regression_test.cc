@@ -283,6 +283,41 @@ TEST_F(GoldenRegressionTest, ShardedRetrievalMetricsMatchGolden) {
   }
 }
 
+/// The paged deployment must reproduce the single index's metrics exactly:
+/// the golden index saved with SavePaged and reopened with OpenPaged
+/// answers from its mapped tree file.
+TEST_F(GoldenRegressionTest, PagedRetrievalMetricsMatchGolden) {
+  const std::string prefix = ::testing::TempDir() + "/golden_paged";
+  ASSERT_TRUE(index_->SavePaged(prefix).ok());
+  Result<WalrusIndex> paged = WalrusIndex::OpenPaged(prefix);
+  ASSERT_TRUE(paged.ok()) << paged.status();
+  ASSERT_TRUE(paged->is_paged());
+
+  SingleIndexEngine single(*index_);
+  SingleIndexEngine mapped(*paged);
+  MetricMap expected = ComputeActualMetrics(single, *dataset_, *truth_);
+  MetricMap actual = ComputeActualMetrics(mapped, *dataset_, *truth_);
+  ASSERT_EQ(actual.size(), expected.size());
+  for (const auto& [key, value] : expected) {
+    auto it = actual.find(key);
+    ASSERT_NE(it, actual.end()) << key;
+    EXPECT_EQ(it->second, value) << key << " (paged)";
+  }
+
+  Result<MetricMap> golden = LoadGolden(WALRUS_GOLDEN_FILE);
+  if (golden.ok()) {
+    constexpr double kTolerance = 1e-6;
+    for (const auto& [key, value] : *golden) {
+      auto it = actual.find(key);
+      ASSERT_NE(it, actual.end()) << key;
+      EXPECT_NEAR(it->second, value, kTolerance) << key << " (paged)";
+    }
+  }
+  for (const char* suffix : {".catalog", ".pmeta", ".ptree"}) {
+    std::remove((prefix + suffix).c_str());
+  }
+}
+
 std::string FreshLiveDir(const std::string& name) {
   std::string dir = ::testing::TempDir() + "/" + name;
   std::string command = "rm -rf " + dir;

@@ -125,9 +125,9 @@ TEST(ProtocolTest, QueryOptionsRoundTrip) {
 }
 
 TEST(ProtocolTest, FrameHeaderAcceptsSupportedVersionWindow) {
-  // The window is exactly one version wide: v7 decodes, and every other
-  // header byte -- the retired v5 and v6 included -- is InvalidArgument.
-  EXPECT_EQ(kProtocolVersion, 7);
+  // The window is exactly one version wide: v8 decodes, and every other
+  // header byte -- the retired v5 to v7 included -- is InvalidArgument.
+  EXPECT_EQ(kProtocolVersion, 8);
   std::vector<uint8_t> frame = EncodeFrame(Opcode::kPing, 7, {});
   EXPECT_EQ(frame[4], kProtocolVersion);
   for (int version = 0; version <= 255; ++version) {
@@ -267,9 +267,6 @@ TEST(ProtocolTest, QueryStatsRoundTripCarriesStageBreakdown) {
   stats.match_seconds = 0.03125;
   stats.rank_seconds = 0.015625;
   stats.nodes_visited = 42;
-  stats.pages_read = 13;
-  stats.cache_hits = 9;
-  stats.cache_misses = 4;
   TraceSpan extract;
   extract.name = "extract";
   extract.start_seconds = 0.0;
@@ -294,9 +291,6 @@ TEST(ProtocolTest, QueryStatsRoundTripCarriesStageBreakdown) {
   EXPECT_EQ(decoded->match_seconds, 0.03125);
   EXPECT_EQ(decoded->rank_seconds, 0.015625);
   EXPECT_EQ(decoded->nodes_visited, 42);
-  EXPECT_EQ(decoded->pages_read, 13);
-  EXPECT_EQ(decoded->cache_hits, 9);
-  EXPECT_EQ(decoded->cache_misses, 4);
   ASSERT_EQ(decoded->spans.size(), 1u);
   EXPECT_EQ(decoded->spans[0].name, "extract");
   EXPECT_EQ(decoded->spans[0].duration_seconds, 0.125);

@@ -364,10 +364,10 @@ TEST_F(MalformedFrameTest, BadVersionKeepsConnectionUsable) {
   StartServer();
   auto fd = Connect();
   ASSERT_TRUE(fd.ok());
-  // The retired v5 and v6 revisions are refused like a future v9: only the
-  // current version (v7) is served.
+  // The retired v5 to v7 revisions are refused like a future v9: only the
+  // current version (v8) is served.
   uint64_t request_id = 5;
-  for (uint8_t version : {5, 6, 9}) {
+  for (uint8_t version : {5, 6, 7, 9}) {
     std::vector<uint8_t> frame = EncodeFrame(Opcode::kPing, request_id++, {});
     frame[4] = version;  // CRC recomputed below to keep framing valid
     uint32_t crc = FrameCrc(frame.data(), {});
@@ -385,7 +385,7 @@ TEST_F(MalformedFrameTest, BadVersionKeepsConnectionUsable) {
     EXPECT_TRUE(ReadResponseStatus(fd->get()).ok())
         << "after v" << static_cast<int>(version);
   }
-  EXPECT_EQ(server_->Snapshot().protocol_errors, 3u);
+  EXPECT_EQ(server_->Snapshot().protocol_errors, 4u);
 }
 
 TEST_F(MalformedFrameTest, CorruptedCrcKeepsConnectionUsable) {

@@ -218,8 +218,7 @@ TEST(RStarBulkLoad, SerializationRoundTrip) {
   RStarTree tree = RStarTree::BulkLoad(3, RandomEntries(800, 3, 9));
   BinaryWriter writer;
   tree.Serialize(&writer);
-  BinaryReader reader(writer.buffer());
-  auto restored = RStarTree::Deserialize(&reader);
+  auto restored = RStarTree::Deserialize(writer.buffer());
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored->size(), 800);
   EXPECT_TRUE(restored->Validate().ok());

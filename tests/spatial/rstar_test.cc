@@ -147,7 +147,7 @@ TEST(RStarTree, VisitorEarlyStop) {
   }
   int visited = 0;
   tree.RangeSearchVisit(Rect::Bounds({0, 0}, {1, 1}),
-                        [&visited](const Rect&, uint64_t) {
+                        [&visited](const RectView&, uint64_t) {
                           ++visited;
                           return visited < 7;
                         });
@@ -167,8 +167,7 @@ TEST(RStarTree, SerializeDeserializeRoundTrip) {
   }
   BinaryWriter writer;
   tree.Serialize(&writer);
-  BinaryReader reader(writer.buffer());
-  Result<RStarTree> restored = RStarTree::Deserialize(&reader);
+  Result<RStarTree> restored = RStarTree::Deserialize(writer.buffer());
   ASSERT_TRUE(restored.ok()) << restored.status();
   EXPECT_EQ(restored->size(), tree.size());
   EXPECT_EQ(restored->dim(), 3);
@@ -187,8 +186,9 @@ TEST(RStarTree, SerializeDeserializeRoundTrip) {
 
 TEST(RStarTree, DeserializeRejectsGarbage) {
   std::vector<uint8_t> garbage = {1, 2, 3, 4, 5, 6, 7, 8};
-  BinaryReader reader(garbage);
-  EXPECT_FALSE(RStarTree::Deserialize(&reader).ok());
+  EXPECT_FALSE(RStarTree::Deserialize(garbage).ok());
+  garbage.resize(400, 0x5a);
+  EXPECT_FALSE(RStarTree::Deserialize(garbage).ok());
 }
 
 TEST(RStarTree, InsertionsAfterDeserialize) {
@@ -199,8 +199,8 @@ TEST(RStarTree, InsertionsAfterDeserialize) {
   }
   BinaryWriter writer;
   tree.Serialize(&writer);
-  BinaryReader reader(writer.buffer());
-  RStarTree restored = std::move(RStarTree::Deserialize(&reader)).value();
+  RStarTree restored =
+      std::move(RStarTree::Deserialize(writer.buffer())).value();
   for (int i = 100; i < 200; ++i) {
     restored.Insert(RandomPointRect(&rng, 2), static_cast<uint64_t>(i));
   }

@@ -116,8 +116,7 @@ TEST(Corruption, RStarRandomBufferNeverCrashes) {
     std::vector<uint8_t> mutated = valid;
     size_t pos = rng.NextBounded(static_cast<uint32_t>(mutated.size()));
     mutated[pos] ^= static_cast<uint8_t>(1 + rng.NextBounded(255));
-    BinaryReader reader(mutated);
-    Result<RStarTree> restored = RStarTree::Deserialize(&reader);
+    Result<RStarTree> restored = RStarTree::Deserialize(mutated);
     if (restored.ok()) {
       // If it deserialized despite the flip, basic queries must not crash.
       (void)restored->RangeSearch(

@@ -19,12 +19,13 @@ TEST(PageFile, CreateAndReopenHeader) {
   {
     Result<PageFile> pf = PageFile::Create(path, 256);
     ASSERT_TRUE(pf.ok()) << pf.status();
-    EXPECT_EQ(pf->page_size(), 256u);
+    // Payload = page - 8-byte chain header - CRC trailer.
+    EXPECT_EQ(pf->PagePayload(), 256u - 8 - PageFile::kChecksumBytes);
     EXPECT_EQ(pf->page_count(), 1u);
   }
   Result<PageFile> reopened = PageFile::Open(path);
   ASSERT_TRUE(reopened.ok()) << reopened.status();
-  EXPECT_EQ(reopened->page_size(), 256u);
+  EXPECT_EQ(reopened->PagePayload(), 256u - 8 - PageFile::kChecksumBytes);
   std::remove(path.c_str());
 }
 
